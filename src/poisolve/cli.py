@@ -19,12 +19,11 @@ from .iterators import (
     JacobiIterator,
     MultigridConfig,
     MultigridIterator,
-    ground_truth,
     reset_start,
     solve_to_tol,
 )
 from .model import PhiIterator, load_model, parse_arch, save_model
-from .spectral import DENSE_MAX_N, certify, linear_part, spectral_norm, spectral_radius
+from .spectral import DENSE_MAX_N, certify, linear_part, spectral_norm
 from .training import default_config, train, write_log
 
 SOLVER_NAMES = ("jacobi", "mg2", "mg3", "conv1", "conv2", "conv3", "conv4",
@@ -89,16 +88,13 @@ def cmd_spectral(args) -> int:
     kind = _geometry_kind(args.kind)
     p = generate(GeometrySpec(kind=kind, n=args.n, seed=args.seed))
     it = _build_solver(args.solver, args.model)
-    mode = args.mode or ("dense" if args.n <= DENSE_MAX_N else "power")
-    lp = linear_part(it, p)
-    rho = spectral_radius(lp, args.n, mode=mode)
-    norm = spectral_norm(lp, args.n) if args.n <= DENSE_MAX_N else None
-    u_star = ground_truth(p)
-    fp_res = float(np.abs(it.step(u_star, p) - u_star).max())
-    valid = int(rho <= 1.0 - 1e-6 and fp_res <= 1e-8)
+    v = certify(it, p, mode=args.mode)
+    norm_s = ""
+    if args.n <= DENSE_MAX_N:
+        norm_s = format(spectral_norm(linear_part(it, p), args.n), ".6g")
     print("iterator,geometry,n,mode,rho,norm,fixed_point_residual,valid")
-    norm_s = "" if norm is None else format(norm, ".6g")
-    print(f"{it.name},{kind},{args.n},{mode},{rho:.6g},{norm_s},{fp_res:.6g},{valid}")
+    print(f"{it.name},{kind},{args.n},{v.method},{v.rho_estimate:.6g},{norm_s},"
+          f"{v.fixed_point_residual:.6g},{int(v.valid)}")
     return EXIT_OK
 
 

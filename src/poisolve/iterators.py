@@ -22,7 +22,7 @@ Cost accounting conventions (used by every report in this package):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,14 @@ SWEEP_MUL_ADDS = 4
 
 
 class Iterator:
-    """Affine single-step solver: step(u, p) = T u + c with exact boundary."""
+    """Affine single-step solver: step(u, p) = T u + c with exact boundary.
+
+    step takes a field of shape (n, n) or a stack of shape (..., n, n) and
+    returns the same shape. Every slice of a stack is stepped on its own,
+    with the same floating-point operations in the same order as a
+    single-field call, so the stacked result equals the per-field results
+    bit for bit.
+    """
 
     name = "iterator"
 
@@ -55,9 +62,10 @@ class Iterator:
 
 def neighbor_mean(u: Field) -> Field:
     """Quarter of the 4-neighbor sum at every cell, zero-padded at the edge."""
-    up = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
-    up[1:-1, 1:-1] = u
-    return 0.25 * (up[:-2, 1:-1] + up[2:, 1:-1] + up[1:-1, :-2] + up[1:-1, 2:])
+    up = np.zeros(u.shape[:-2] + (u.shape[-2] + 2, u.shape[-1] + 2))
+    up[..., 1:-1, 1:-1] = u
+    return 0.25 * (up[..., :-2, 1:-1] + up[..., 2:, 1:-1]
+                   + up[..., 1:-1, :-2] + up[..., 1:-1, 2:])
 
 
 def jacobi_step(u: Field, p: Problem) -> Field:
@@ -120,23 +128,26 @@ def restrict_full_weighting(r: Field) -> Field:
     Coarse interior cells combine the 3x3 fine neighborhood with weights
     1/4 (center), 1/8 (edges), 1/16 (corners); the coarse frame stays 0.
     """
-    n = r.shape[0]
+    n = r.shape[-1]
     nc = (n - 1) // 2 + 1
-    rc = np.zeros((nc, nc))
-    c = r[2:-2:2, 2:-2:2]
-    edges = r[1:-3:2, 2:-2:2] + r[3:-1:2, 2:-2:2] + r[2:-2:2, 1:-3:2] + r[2:-2:2, 3:-1:2]
-    corners = r[1:-3:2, 1:-3:2] + r[1:-3:2, 3:-1:2] + r[3:-1:2, 1:-3:2] + r[3:-1:2, 3:-1:2]
-    rc[1:-1, 1:-1] = 0.25 * c + 0.125 * edges + 0.0625 * corners
+    rc = np.zeros(r.shape[:-2] + (nc, nc))
+    c = r[..., 2:-2:2, 2:-2:2]
+    edges = (r[..., 1:-3:2, 2:-2:2] + r[..., 3:-1:2, 2:-2:2]
+             + r[..., 2:-2:2, 1:-3:2] + r[..., 2:-2:2, 3:-1:2])
+    corners = (r[..., 1:-3:2, 1:-3:2] + r[..., 1:-3:2, 3:-1:2]
+               + r[..., 3:-1:2, 1:-3:2] + r[..., 3:-1:2, 3:-1:2])
+    rc[..., 1:-1, 1:-1] = 0.25 * c + 0.125 * edges + 0.0625 * corners
     return rc
 
 
 def prolong_bilinear(ec: Field, n: int) -> Field:
     """Bilinear interpolation from the coarse grid back to n points."""
-    e = np.zeros((n, n))
-    e[::2, ::2] = ec
-    e[1::2, ::2] = 0.5 * (ec[:-1, :] + ec[1:, :])
-    e[::2, 1::2] = 0.5 * (ec[:, :-1] + ec[:, 1:])
-    e[1::2, 1::2] = 0.25 * (ec[:-1, :-1] + ec[:-1, 1:] + ec[1:, :-1] + ec[1:, 1:])
+    e = np.zeros(ec.shape[:-2] + (n, n))
+    e[..., ::2, ::2] = ec
+    e[..., 1::2, ::2] = 0.5 * (ec[..., :-1, :] + ec[..., 1:, :])
+    e[..., ::2, 1::2] = 0.5 * (ec[..., :, :-1] + ec[..., :, 1:])
+    e[..., 1::2, 1::2] = 0.25 * (ec[..., :-1, :-1] + ec[..., :-1, 1:]
+                                 + ec[..., 1:, :-1] + ec[..., 1:, 1:])
     return e
 
 
@@ -160,14 +171,17 @@ class MultigridIterator(Iterator):
     def __init__(self, config: MultigridConfig):
         self.config = config
         self.name = f"mg{config.depth}"
-        # keyed by id(mask); the stored mask reference keeps the id stable
-        self._coarse_cache: dict[int, tuple[np.ndarray, list[Problem]]] = {}
+        # (mask, levels) of the last mask seen; solves reuse one mask
+        self._hierarchy: tuple[np.ndarray, list[Problem]] | None = None
 
     def _coarse_problems(self, p: Problem) -> list[Problem]:
-        """Zero-data problems at each level below p, for the error equation."""
-        hit = self._coarse_cache.get(id(p.mask))
-        if hit is not None and hit[0] is p.mask:
-            return hit[1]
+        """Zero-data problems at each level below p, for the error equation.
+
+        Built, and the config validated against p.n, once per mask.
+        """
+        if self._hierarchy is not None and self._hierarchy[0] is p.mask:
+            return self._hierarchy[1]
+        self.config.validate(p.n)
         levels = []
         mask, h = p.mask, p.h
         for _ in range(self.config.depth):
@@ -179,11 +193,10 @@ class MultigridIterator(Iterator):
             levels.append(
                 make_problem(mask, np.zeros((nc, nc)), np.zeros((nc, nc)), h=h)
             )
-        self._coarse_cache[id(p.mask)] = (p.mask, levels)
+        self._hierarchy = (p.mask, levels)
         return levels
 
     def step(self, u, p):
-        self.config.validate(p.n)
         return self._cycle(u, p, self._coarse_problems(p), 0)
 
     def _cycle(self, u, p, coarse, level):
@@ -197,8 +210,9 @@ class MultigridIterator(Iterator):
         r = _interior_residual_field(u, p)
         pc = coarse[level]
         fc = np.where(pc.mask == 1, restrict_full_weighting(r), 0.0)
-        pc_level = make_problem(pc.mask, pc.b, fc, h=pc.h)
-        ec = self._cycle(np.zeros((pc.n, pc.n)), pc_level, coarse, level + 1)
+        # the cached level with the restricted residual as its source; fc
+        # may be a stack, which make_problem would reject
+        ec = self._cycle(np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
         e = prolong_bilinear(ec, p.n)
         u = u + np.where(p.mask == 1, e, 0.0)
         for _ in range(cfg.post_smooth):
@@ -206,7 +220,6 @@ class MultigridIterator(Iterator):
         return u
 
     def step_cost(self, p):
-        self.config.validate(p.n)
         cfg = self.config
         depth = len(self._coarse_problems(p))
         layers = 0

@@ -198,11 +198,14 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
 
 
 def apply_H(model: CorrectionModel, w: Field) -> Field:
-    """Forward pass on a single (n, n) field."""
-    n = w.shape[0]
+    """Forward pass on an (n, n) field or a (..., n, n) stack of them.
+
+    The leading dimensions fold into the conv batch axis, (B, 1, n, n).
+    """
+    n = w.shape[-1]
     model.check_compatible(n)
-    out = forward(model, w.reshape(1, 1, n, n))
-    return out[0, 0]
+    out = forward(model, w.reshape(-1, 1, n, n))
+    return out.reshape(w.shape)
 
 
 def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:

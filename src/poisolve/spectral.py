@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Problem, make_problem
+from .grid import Field, Problem, l2_norm, make_problem
 from .iterators import Iterator, JacobiIterator, ground_truth
 
 DENSE_MAX_N = 33
@@ -28,7 +28,10 @@ FIXED_POINT_TOL = 1e-8
 
 @dataclass
 class LinearPart:
-    """The update matrix T of an iterator on a fixed geometry, as an action."""
+    """The update matrix T of an iterator on a fixed geometry, as an action.
+
+    apply takes an (n, n) field or a (..., n, n) stack, as Iterator.step.
+    """
 
     apply: Callable[[Field], Field]
     n: int
@@ -48,18 +51,22 @@ def linear_part(it: Iterator, p: Problem) -> LinearPart:
 
 
 def materialize_dense(lp: LinearPart, n: int) -> np.ndarray:
-    """T as an n^2 x n^2 matrix, column by column from basis fields."""
+    """T as an n^2 x n^2 matrix from basis fields.
+
+    The n basis fields of one grid row go through lp.apply as one stack,
+    so a call holds n^3 cells, not n^4.
+    """
     if n > DENSE_MAX_N:
         raise ValueError(
             f"n = {n} exceeds the dense cap {DENSE_MAX_N}; use the power method"
         )
     N = n * n
     T = np.zeros((N, N))
-    e = np.zeros((n, n))
-    for j in range(N):
-        e.flat[j] = 1.0
-        T[:, j] = lp.apply(e).ravel()
-        e.flat[j] = 0.0
+    cols = np.arange(n)
+    for i in range(n):
+        e = np.zeros((n, n, n))
+        e[cols, i, cols] = 1.0
+        T[:, i * n:(i + 1) * n] = lp.apply(e).reshape(n, N).T
     return T
 
 
@@ -77,35 +84,43 @@ def spectral_radius(
     Power mode tracks the log growth of a renormalized iterate and averages
     the growth factor over the trailing window, which irons out the
     rotation of complex leading eigenpairs; the maximum over restarts
-    guards against unlucky starts.
+    guards against unlucky starts. The restarts advance together as one
+    (restarts, n, n) stack; each is normalized by its own norm and stops
+    on its own when its norm reaches zero.
     """
     if mode == "dense":
         T = materialize_dense(lp, n)
         return float(np.abs(np.linalg.eigvals(T)).max())
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    # one draw of the whole stack yields the same start fields as one
+    # (n, n) draw per restart in turn
+    v = np.random.default_rng(seed).standard_normal((restarts, n, n))
+    for r in range(restarts):
+        v[r] /= l2_norm(v[r])
+    log_growth = np.zeros((restarts, iterations + 1))
+    steps_done = np.full(restarts, iterations)
+    running = np.arange(restarts)  # restart index of each slice of v
+    for t in range(iterations):
+        if not running.size:
+            break
+        v = lp.apply(v)
+        norms = np.array([l2_norm(x) for x in v])
+        if not np.isfinite(norms).all():
+            raise ArithmeticError("power iteration became non-finite despite rescaling")
+        stopped = norms == 0.0
+        if stopped.any():
+            steps_done[running[stopped]] = t
+            v, norms, running = v[~stopped], norms[~stopped], running[~stopped]
+        log_growth[running, t + 1] = log_growth[running, t] + np.log(norms)
+        v /= norms[:, None, None]
     best = 0.0
-    for _ in range(restarts):
-        v = rng.standard_normal((n, n))
-        norm = float(np.linalg.norm(v))
-        v /= norm
-        log_growth = np.zeros(iterations + 1)
-        steps_done = iterations
-        for t in range(iterations):
-            v = lp.apply(v)
-            norm = float(np.linalg.norm(v))
-            if not np.isfinite(norm):
-                raise ArithmeticError("power iteration became non-finite despite rescaling")
-            if norm == 0.0:
-                steps_done = t
-                break
-            log_growth[t + 1] = log_growth[t] + np.log(norm)
-            v /= norm
-        if steps_done < window:
+    for r in range(restarts):
+        done = steps_done[r]
+        if done < window:
             est = 0.0
         else:
-            est = float(np.exp((log_growth[steps_done] - log_growth[steps_done - window]) / window))
+            est = float(np.exp((log_growth[r, done] - log_growth[r, done - window]) / window))
         best = max(best, est)
     return best
 

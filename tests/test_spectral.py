@@ -27,7 +27,7 @@ class _ZeroIterator:
     name = "zero"
 
     def step(self, u, p):
-        return np.where(p.mask == 1, 0.0, p.b)
+        return np.where(p.mask == 1, np.zeros_like(u), p.b)
 
     def step_cost(self, p):
         return 0, 0
@@ -43,11 +43,12 @@ class _MaskedConvIterator:
 
     def step(self, u, p):
         out = np.zeros_like(u)
-        pad = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
-        pad[1:-1, 1:-1] = u
+        rows, cols = u.shape[-2:]
+        pad = np.zeros(u.shape[:-2] + (rows + 2, cols + 2))
+        pad[..., 1:-1, 1:-1] = u
         for di in range(3):
             for dj in range(3):
-                out += self.kernel[di, dj] * pad[di:di + u.shape[0], dj:dj + u.shape[1]]
+                out += self.kernel[di, dj] * pad[..., di:di + rows, dj:dj + cols]
         return np.where(p.mask == 1, out, p.b)
 
     def step_cost(self, p):
