@@ -28,7 +28,7 @@ from .iterators import (
 )
 from .model import CorrectionModel, PhiIterator
 from .spectral import ValidityVerdict, certify
-from .training import square_problem
+from .training import default_config, square_problem
 
 DEFAULT_THRESHOLD = 0.01  # stop at 1 percent of the initial error
 
@@ -66,7 +66,7 @@ def bench_size_for(model: CorrectionModel) -> int:
 
 
 def train_size_for(model: CorrectionModel) -> int:
-    return 17 if model.arch == "conv" else 65
+    return default_config(f"{model.arch}{model.depth}").n
 
 
 def certify_for_bench(model: CorrectionModel) -> ValidityVerdict:

@@ -78,6 +78,15 @@ def jacobi_step(u: Field, p: Problem) -> Field:
     return np.where(p.mask == 1, hat, p.b)
 
 
+def jacobi_step_adjoint(g: Field, p: Problem) -> Field:
+    """Adjoint of the linear part of jacobi_step, u -> mask * neighbor_mean(u).
+
+    neighbor_mean is self-adjoint (symmetric stencil, zero padding), so the
+    adjoint masks g to interior cells first and averages after.
+    """
+    return neighbor_mean(np.where(p.mask == 1, g, 0.0))
+
+
 def damped_jacobi_step(u: Field, p: Problem, omega: float) -> Field:
     """Weighted sweep (1-omega) u + omega * jacobi update, with reset."""
     hat = (1.0 - omega) * u + omega * (neighbor_mean(u) + 0.25 * p.h * p.h * p.f)

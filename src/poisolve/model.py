@@ -29,7 +29,7 @@ from .conv import (
     transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
-from .grid import Field, Problem
+from .grid import Field, FileFormatError, Problem, _fmt
 from .iterators import Iterator
 
 
@@ -252,10 +252,6 @@ class PhiIterator(Iterator):
 # Model files: a plain text header plus one block per layer.
 # ------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_model(m: CorrectionModel, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"arch {m.arch} depth {m.depth} channels {m.channels}\n")
@@ -269,17 +265,32 @@ def save_model(m: CorrectionModel, path) -> None:
                     fh.write(" ".join(_fmt(v) for v in layer.weights[ci, co].ravel()) + "\n")
 
 
+def _ints(tokens: list[str], what: str, line: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise FileFormatError(f"{what} values must be integers", line) from None
+
+
 def load_model(path) -> CorrectionModel:
+    """Read a model file.
+
+    A malformed line raises FileFormatError with its line number; a layer
+    list that does not wire up raises ValueError.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ValueError("empty model file")
+        raise FileFormatError("empty model file", 1)
     head = lines[0].split()
     if len(head) != 6 or head[0] != "arch" or head[2] != "depth" or head[4] != "channels":
-        raise ValueError(f"bad model header: {lines[0]!r}")
-    arch, depth, channels = head[1], int(head[3]), int(head[5])
+        raise FileFormatError(f"bad model header: {lines[0]!r}", 1)
+    arch = head[1]
+    depth, channels = _ints([head[3], head[5]], "header", 1)
     if arch not in ("conv", "unet"):
-        raise ValueError(f"unknown architecture {arch!r}")
+        raise FileFormatError(f"unknown architecture {arch!r}", 1)
+    if depth < 1 or channels < 1:
+        raise FileFormatError(f"depth and channels must be positive, got {depth} and {channels}", 1)
     layers = []
     pos = 1
     while pos < len(lines):
@@ -288,21 +299,29 @@ def load_model(path) -> CorrectionModel:
             continue
         tok = lines[pos].split()
         if len(tok) != 10 or tok[0] != "layer":
-            raise ValueError(f"line {pos + 1}: expected layer header, got {lines[pos]!r}")
-        ci, co = int(tok[3]), int(tok[5])
-        stride, transposed = int(tok[7]), bool(int(tok[9]))
+            raise FileFormatError(f"expected layer header, got {lines[pos]!r}", pos + 1)
+        ci, co, stride, transposed = _ints(tok[3::2], "layer", pos + 1)
+        if ci < 1 or co < 1:
+            raise FileFormatError(f"channel counts must be positive, got {ci} and {co}", pos + 1)
+        if stride not in (1, 2):
+            raise FileFormatError(f"stride must be 1 or 2, got {stride}", pos + 1)
+        if transposed not in (0, 1):
+            raise FileFormatError(f"transposed must be 0 or 1, got {transposed}", pos + 1)
         pos += 1
         w = np.zeros((ci, co, 3, 3))
         for i in range(ci):
             for o in range(co):
                 if pos >= len(lines):
-                    raise ValueError(f"line {pos + 1}: missing kernel row")
+                    raise FileFormatError("missing kernel row", pos + 1)
                 vals = lines[pos].split()
                 if len(vals) != 9:
-                    raise ValueError(f"line {pos + 1}: kernel row needs 9 values")
-                w[i, o] = np.array([float(v) for v in vals]).reshape(3, 3)
+                    raise FileFormatError("kernel row needs 9 values", pos + 1)
+                try:
+                    w[i, o] = np.array([float(v) for v in vals]).reshape(3, 3)
+                except ValueError:
+                    raise FileFormatError("bad numeric value in kernel row", pos + 1) from None
                 pos += 1
-        layers.append(ConvLayer(ci, co, stride, transposed, w))
+        layers.append(ConvLayer(ci, co, stride, bool(transposed), w))
     m = CorrectionModel(arch, depth, channels, layers)
     _check_wiring(m)
     return m

@@ -3,10 +3,13 @@
 The objective is the squared distance to the reference solution after k
 wrapped-iterator steps, with k drawn per sample from {1, ..., k_max} and
 the start field drawn white-Gaussian then reset to the boundary values.
-Gradients are computed by an explicit reverse pass over the unrolled
-steps: the adjoint of a Jacobi sweep is the masked quarter-cross, the
-adjoint of the correction net is the tape walk in :mod:`poisolve.model`,
-and the per-sample loss terms inject their adjoints at their own k.
+The unroll retires each sample at its own k: step t advances only the
+samples still short of their k, through the same Jacobi sweep the solvers
+run (:func:`poisolve.iterators.jacobi_step`). Gradients are computed by an
+explicit reverse pass over the unrolled steps, which takes each sample in
+at its own k: the adjoint of the sweep is
+:func:`poisolve.iterators.jacobi_step_adjoint` and the adjoint of the
+correction net is the tape walk in :mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
 usable with any base at inference time.
@@ -15,12 +18,12 @@ usable with any base at inference time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, Problem, make_problem, residual_norms
-from .iterators import JacobiIterator, ground_truth
+from .grid import Field, Problem, make_problem
+from .iterators import JacobiIterator, ground_truth, jacobi_step, jacobi_step_adjoint
 from .model import CorrectionModel, backward, forward, init_model, parse_arch
 from .spectral import linear_part, spectral_radius
 from . import spectral as _spectral
@@ -152,76 +155,75 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
 # Batched unrolled forward/backward. Shapes are (B, 1, n, n).
 # ------------------------------------------------------------------
 
-def _cross(u: np.ndarray) -> np.ndarray:
-    up = np.zeros((u.shape[0], 1, u.shape[2] + 2, u.shape[3] + 2))
-    up[:, :, 1:-1, 1:-1] = u
-    return 0.25 * (up[:, :, :-2, 1:-1] + up[:, :, 2:, 1:-1]
-                   + up[:, :, 1:-1, :-2] + up[:, :, 1:-1, 2:])
+def _pile(arrs) -> np.ndarray:
+    return np.stack(arrs)[:, None, :, :]
 
 
-def _stack(batch: list[TrainSample]):
-    def pile(arrs):
-        return np.stack(arrs)[:, None, :, :]
-
-    M = pile([s.problem.mask.astype(np.float64) for s in batch])
-    bb = pile([s.problem.b for s in batch])
-    q = pile([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
-    u0 = pile([s.u0 for s in batch])
-    ustar = pile([s.u_star for s in batch])
-    return M, bb, q, u0, ustar
+def _stacked_problem(batch: list[TrainSample]) -> Problem:
+    """The batch's one geometry, with every sample's b and f stacked."""
+    p = batch[0].problem
+    for s in batch[1:]:
+        if s.problem.h != p.h or not np.array_equal(s.problem.mask, p.mask):
+            raise ValueError("training batch mixes geometries")
+    return replace(p, b=_pile([s.problem.b for s in batch]),
+                   f=_pile([s.problem.f for s in batch]))
 
 
 def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
-    """Run every sample to its own k; return loss and (if record) the tapes."""
-    M, bb, q, u, ustar = _stack(batch)
-    ks = np.array([s.k for s in batch])
-    k_top = int(ks.max())
+    """Run every sample to its own k and no further.
+
+    The batch is stable-sorted by k, largest first, so the samples still
+    short of their k at step t are the leading live[t] rows, and those that
+    retire at t keep their order in the batch. Returns the loss and, if
+    record, what the reverse pass needs: the stacked problem, live, the
+    residuals final - u* of the samples retiring at each step, and the tapes.
+    """
+    if not batch:
+        raise ValueError("empty batch")
+    batch = sorted(batch, key=lambda s: -s.k)
+    ks = [s.k for s in batch]
+    live = [sum(k >= t for k in ks) for t in range(ks[0] + 2)]
+    p = _stacked_problem(batch)
+    interior = p.mask == 1
+    u = _pile([s.u0 for s in batch])
+    ustar = _pile([s.u_star for s in batch])
     loss = 0.0
-    finals = np.zeros_like(u)
-    steps = []
-    for t in range(1, k_top + 1):
-        psi = M * (_cross(u) + q) + (1.0 - M) * bb
-        w = psi - u
-        tape: list | None = [] if record else None
-        z = forward(model, w, tape)
-        u_next = psi + M * z
-        if not np.isfinite(u_next).all():
-            raise TrainingError(f"non-finite iterate at unroll step {t}")
-        if record:
-            steps.append(tape)
-        done = ks == t
-        if done.any():
-            finals[done] = u_next[done]
-            diff = u_next[done] - ustar[done]
+    residuals, tapes = [], []
+    # a divergent model overflows; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, ks[0] + 1):
+            a = live[t]
+            u = u[:a]
+            psi = jacobi_step(u, replace(p, b=p.b[:a], f=p.f[:a]))
+            tape: list | None = [] if record else None
+            z = forward(model, psi - u, tape)
+            u = psi + np.where(interior, z, 0.0)
+            if not np.isfinite(u).all():
+                raise TrainingError(f"non-finite iterate at unroll step {t}")
+            diff = u[live[t + 1]:] - ustar[live[t + 1]:a]
             loss += float((diff * diff).sum())
-        u = u_next
+            residuals.append(diff)
+            tapes.append(tape)
     loss /= len(batch)
-    return loss, (M, ustar, ks, finals, steps)
+    return loss, (p, live, residuals, tapes)
 
 
 def loss(model: CorrectionModel, batch: list[TrainSample]) -> float:
     """Mean over the batch of ||Phi^k(u0) - u*||_2^2."""
-    if not batch:
-        raise ValueError("empty batch")
-    value, _ = _unrolled(model, batch, record=False)
-    return value
+    return _unrolled(model, batch, record=False)[0]
 
 
 def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
-    if not batch:
-        raise ValueError("empty batch")
-    value, (M, ustar, ks, finals, steps) = _unrolled(model, batch, record=True)
+    value, (p, live, residuals, tapes) = _unrolled(model, batch, record=True)
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
-    B = len(batch)
-    g = np.zeros_like(ustar)
-    for t in range(int(ks.max()), 0, -1):
-        done = ks == t
-        if done.any():
-            g[done] += (2.0 / B) * (finals[done] - ustar[done])
-        a = M * g
-        gw = backward(model, steps[t - 1], a, grads)
-        gpsi = g + gw
-        g = _cross(M * gpsi) - gw
+    scale = 2.0 / len(batch)
+    interior = p.mask == 1
+    g = scale * residuals[-1]
+    for t in range(len(tapes), 0, -1):
+        if live[t] > len(g):  # samples whose k = t enter the adjoint here
+            g = np.concatenate([g, scale * residuals[t - 1]])
+        gw = backward(model, tapes[t - 1], np.where(interior, g, 0.0), grads)
+        g = jacobi_step_adjoint(g + gw, p) - gw
     return value, grads
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poisolve.grid import FileFormatError
 from poisolve.iterators import JacobiIterator, ground_truth, jacobi_step
 from poisolve.model import (
     PhiIterator,
@@ -16,6 +17,10 @@ from poisolve.model import (
 )
 
 from conftest import square_problem
+
+_HEAD = "arch conv depth 1 channels 1\n"
+_LAYER = "layer 0 in 1 out 1 stride 1 transposed 0\n"
+_ROW = "0 0 0 0 1 0 0 0 0\n"
 
 
 class TestApplyH:
@@ -179,3 +184,22 @@ class TestInitAndFiles:
         path.write_text("arch conv depth 1 channels 1\nlayer 0 in 1 out 1 stride 1 transposed 0\n1 2 3\n")
         with pytest.raises(ValueError, match="9 values"):
             load_model(path)
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("arch conv depth x channels 1\n" + _LAYER + _ROW, 1, "integers"),
+        ("arch conv depth 0 channels 1\n" + _LAYER + _ROW, 1, "positive"),
+        (_HEAD + "layer 0 in 1 out one stride 1 transposed 0\n" + _ROW, 2, "integers"),
+        (_HEAD + "layer 0 in 0 out 1 stride 1 transposed 0\n" + _ROW, 2, "positive"),
+        (_HEAD + "layer 0 in 1 out 1 stride 3 transposed 0\n" + _ROW, 2, "stride"),
+        (_HEAD + "layer 0 in 1 out 1 stride 1 transposed 2\n" + _ROW, 2, "transposed"),
+        (_HEAD + _LAYER + "0 0 0 0 x 0 0 0 0\n", 3, "numeric"),
+        (_HEAD + _LAYER, 3, "missing kernel row"),
+        (_HEAD + _LAYER + _ROW + "layer 1 in 1 out 1\n", 4, "layer header"),
+    ], ids=["header-int", "header-depth", "layer-int", "layer-channels", "stride",
+            "transposed", "kernel-value", "kernel-row", "layer-header"])
+    def test_load_error_names_its_line(self, tmp_path, text, line, match):
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=f"^line {line}: .*{match}") as info:
+            load_model(path)
+        assert info.value.line == line

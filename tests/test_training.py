@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from poisolve.grid import residual_norms
-from poisolve.iterators import jacobi_step
-from poisolve.model import apply_H, init_model, save_model, scale_model, zero_model
+from poisolve import training
+from poisolve.grid import make_problem, residual_norms
+from poisolve.iterators import jacobi_step, neighbor_mean
+from poisolve.model import (
+    apply_H,
+    backward,
+    forward,
+    init_model,
+    save_model,
+    scale_model,
+    zero_model,
+)
 from poisolve.training import (
     SquareSolutionCache,
     TrainConfig,
@@ -158,6 +169,91 @@ class TestGrad:
         _, g_b = loss_and_grad(m, batch[4:])
         for ga, gb, gc in zip(g_all, g_a, g_b):
             assert np.abs(ga - 0.5 * (gb + gc)).max() <= 1e-12
+
+
+def _full_batch_unroll(model, batch):
+    """Loss and gradients with every sample carried to the batch's largest k.
+
+    The reference for the retiring unroll: a sample past its k is stepped
+    on but adds nothing to the loss, and its adjoint is zero until its k.
+    """
+    def pile(arrs):
+        return np.stack(arrs)[:, None, :, :]
+
+    M = pile([s.problem.mask.astype(np.float64) for s in batch])
+    bb = pile([s.problem.b for s in batch])
+    q = pile([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
+    u = pile([s.u0 for s in batch])
+    ustar = pile([s.u_star for s in batch])
+    ks = np.array([s.k for s in batch])
+    value = 0.0
+    finals = np.zeros_like(u)
+    tapes = []
+    for t in range(1, ks.max() + 1):
+        psi = M * (neighbor_mean(u) + q) + (1.0 - M) * bb
+        tape = []
+        u = psi + M * forward(model, psi - u, tape)
+        tapes.append(tape)
+        done = ks == t
+        if done.any():
+            finals[done] = u[done]
+            diff = u[done] - ustar[done]
+            value += float((diff * diff).sum())
+    value /= len(batch)
+    grads = [np.zeros_like(layer.weights) for layer in model.layers]
+    g = np.zeros_like(u)
+    for t in range(ks.max(), 0, -1):
+        done = ks == t
+        g[done] += (2.0 / len(batch)) * (finals[done] - ustar[done])
+        gw = backward(model, tapes[t - 1], M * g, grads)
+        g = neighbor_mean(M * (g + gw)) - gw
+    return value, grads
+
+
+class TestRetiringUnroll:
+    @pytest.mark.parametrize("arch", ["conv3", "unet2"])
+    @pytest.mark.parametrize("ks", [[5] * 8, [3, 8, 1, 6, 2, 7, 4, 5], [1] * 8],
+                             ids=["equal", "distinct", "one"])
+    def test_matches_full_batch_unroll(self, cache17, arch, ks):
+        m = scale_model(init_model(arch, seed=7), 10.0)
+        cfg = TrainConfig(arch=arch, n=17, steps=0)
+        batch = [replace(s, k=k) for s, k in zip(_batch(cache17, cfg, 31), ks)]
+        value, grads = loss_and_grad(m, batch)
+        ref_value, ref_grads = _full_batch_unroll(m, batch)
+        assert value == ref_value
+        assert loss(m, batch) == ref_value
+        for g, r in zip(grads, ref_grads):
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+
+    def test_forward_rows_sum_to_k(self, cache17, monkeypatch):
+        rows = []
+
+        def counting_forward(model, x, tape=None):
+            rows.append(x.shape[0])
+            return forward(model, x, tape)
+
+        monkeypatch.setattr(training, "forward", counting_forward)
+        batch = _batch(cache17, default_config("conv3", steps=0), 32)
+        ks = [s.k for s in batch]
+        assert sum(ks) < len(ks) * max(ks)
+        loss_and_grad(init_model("conv3", seed=1), batch)
+        assert len(rows) == max(ks)
+        assert sum(rows) == sum(ks)
+
+    def test_divergent_model_raises_from_unroll(self, cache17):
+        m = scale_model(init_model("conv3", seed=0), 1e10)
+        batch = _batch(cache17, default_config("conv3", steps=0), 0)
+        with pytest.raises(TrainingError, match="non-finite iterate at unroll step"):
+            loss_and_grad(m, batch)
+
+    def test_mixed_geometries_rejected(self, cache17):
+        batch = _batch(cache17, default_config("conv3", steps=0), 33)
+        s = batch[-1]
+        mask = s.problem.mask.copy()
+        mask[8, 8] = 0
+        batch[-1] = replace(s, problem=make_problem(mask, s.problem.b, s.problem.f))
+        with pytest.raises(ValueError, match="mixes geometries"):
+            loss_and_grad(init_model("conv3", seed=1), batch)
 
 
 class TestTrainLoop:
