@@ -10,6 +10,22 @@ those are exactly the modes the coarse grid cannot represent, so an
 undamped cycle contracts no faster than its sweeps alone. The standalone
 Jacobi iterator stays undamped.
 
+The plain and damped sweeps and the V-cycle residual share one stencil
+kernel, :func:`_stencil`. It views a field, or a whole stack of fields,
+as one flat run of cells in row order, so the four neighbours of every
+cell in rows 1..n-2 of its field are contiguous slices at offsets -n, +n,
+-1, +1, summed in the order N + S, + W, + E into the output buffer with
+no padded copy. Cells in columns 0 and n-1 then hold wrapped values and
+rows 0 and n-1 hold values read across fields or nothing at all; every
+cell with mask != 1 is overwritten afterwards with its boundary value.
+This relies on the invariant that the outermost frame is always boundary
+(mask = 0), which make_problem enforces and every dataclasses.replace of
+a Problem keeps. Each interior cell sees the same floating-point
+operations in the same order as the padded formula
+neighbor_mean(u) + (h^2/4) f, so iterates match that formula bit for
+bit; the tests hold it as the reference. neighbor_mean itself,
+zero-padded and defined on the frame too, serves only jacobi_step_adjoint.
+
 Cost accounting conventions (used by every report in this package):
 
   * Jacobi sweep            = 1 layer, 4 mul-adds per interior cell
@@ -30,9 +46,8 @@ from .grid import (
     CostReport,
     Field,
     Problem,
-    laplacian_apply,
+    l2_norm,
     make_problem,
-    relative_error,
     residual_norms,
 )
 
@@ -61,11 +76,41 @@ class Iterator:
 
 
 def neighbor_mean(u: Field) -> Field:
-    """Quarter of the 4-neighbor sum at every cell, zero-padded at the edge."""
+    """Quarter of the 4-neighbor sum at every cell, zero-padded at the edge.
+
+    Unlike the sweeps it also has values on the frame, which
+    jacobi_step_adjoint needs.
+    """
     up = np.zeros(u.shape[:-2] + (u.shape[-2] + 2, u.shape[-1] + 2))
     up[..., 1:-1, 1:-1] = u
     return 0.25 * (up[..., :-2, 1:-1] + up[..., 2:, 1:-1]
                    + up[..., 1:-1, :-2] + up[..., 1:-1, 2:])
+
+
+def _stencil(u: Field, p: Problem, update, frame) -> Field:
+    """Evaluate a 5-point update on flat views, then write the frame.
+
+    The output has u's shape; p.f and frame (p.b or 0) broadcast against
+    it. s = ((N + S) + W) + E over the flat run of cells (see the module
+    docstring), and update(s, uc, fs, fc) turns it in place into the new
+    values: uc is u over the cells of s, and fs and fc are the output and
+    p.f over rows 1..n-2 of each field, so that one p.f broadcasts under a
+    stack. Every cell with mask != 1 then takes frame.
+    """
+    n = p.n
+    out = np.empty(u.shape)
+    flat = out.reshape(-1)
+    m = flat.size
+    s = flat[n:m - n]
+    uf = u.reshape(-1)
+    np.add(uf[:-2 * n], uf[2 * n:], out=s)
+    s += uf[n - 1:m - n - 1]
+    s += uf[n + 1:m - n + 1]
+    rows = u.shape[:-2] + (n * n,)
+    fc = p.f.reshape(p.f.shape[:-2] + (n * n,))[..., n:-n]
+    update(s, uf[n:m - n], out.reshape(rows)[..., n:-n], fc)
+    np.copyto(out, frame, where=p.mask != 1)
+    return out
 
 
 def jacobi_step(u: Field, p: Problem) -> Field:
@@ -74,8 +119,13 @@ def jacobi_step(u: Field, p: Problem) -> Field:
     u_hat = (u_N + u_S + u_W + u_E)/4 + (h^2/4) f at interior cells;
     boundary cells take the prescribed values b.
     """
-    hat = neighbor_mean(u) + 0.25 * p.h * p.h * p.f
-    return np.where(p.mask == 1, hat, p.b)
+    c = 0.25 * p.h * p.h
+
+    def update(s, uc, fs, fc):
+        s *= 0.25
+        fs += c * fc
+
+    return _stencil(u, p, update, p.b)
 
 
 def jacobi_step_adjoint(g: Field, p: Problem) -> Field:
@@ -89,8 +139,15 @@ def jacobi_step_adjoint(g: Field, p: Problem) -> Field:
 
 def damped_jacobi_step(u: Field, p: Problem, omega: float) -> Field:
     """Weighted sweep (1-omega) u + omega * jacobi update, with reset."""
-    hat = (1.0 - omega) * u + omega * (neighbor_mean(u) + 0.25 * p.h * p.h * p.f)
-    return np.where(p.mask == 1, hat, p.b)
+    c = 0.25 * p.h * p.h
+
+    def update(s, uc, fs, fc):
+        s *= 0.25
+        fs += c * fc
+        s *= omega
+        s += (1.0 - omega) * uc
+
+    return _stencil(u, p, update, p.b)
 
 
 class JacobiIterator(Iterator):
@@ -166,8 +223,16 @@ def coarsen_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def _interior_residual_field(u: Field, p: Problem) -> Field:
-    """f - A u at interior cells (A = -discrete laplacian), zero elsewhere."""
-    return np.where(p.mask == 1, p.f + laplacian_apply(u, p.h), 0.0)
+    """f - A u at interior cells (A = -discrete laplacian), zero elsewhere.
+
+    The same arithmetic as p.f + grid.laplacian_apply(u, p.h).
+    """
+    def update(s, uc, fs, fc):
+        s -= 4.0 * uc
+        s /= p.h * p.h
+        fs += fc
+
+    return _stencil(u, p, update, 0.0)
 
 
 class MultigridIterator(Iterator):
@@ -258,7 +323,8 @@ def solve_to_tol(
 ) -> tuple[Field, CostReport]:
     """Iterate until the error or residual criterion is met.
 
-    With u_star: stop when relative_error(u, u_star) <= threshold.
+    With u_star: stop when grid.relative_error(u, u_star) <= threshold,
+                 with ||u*|| computed once per solve.
     Without:     stop when the interior residual drops below
                  threshold * (initial interior residual).
     Exceeding max_steps is reported via converged=False, not raised.
@@ -268,8 +334,13 @@ def solve_to_tol(
     layers_per, ops_per = it.step_cost(p)
 
     if u_star is not None:
+        if u0.shape != u_star.shape:
+            raise ValueError(f"shape mismatch: {u0.shape} vs {u_star.shape}")
+        denom = l2_norm(u_star)
+
         def error(u):
-            return relative_error(u, u_star)
+            diff = l2_norm(u - u_star)
+            return diff / denom if denom > 0 else diff
     else:
         initial = residual_norms(p, u0)[0]
         scale = initial if initial > 0 else 1.0

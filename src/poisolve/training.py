@@ -219,11 +219,17 @@ def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
     scale = 2.0 / len(batch)
     interior = p.mask == 1
     g = scale * residuals[-1]
-    for t in range(len(tapes), 0, -1):
-        if live[t] > len(g):  # samples whose k = t enter the adjoint here
-            g = np.concatenate([g, scale * residuals[t - 1]])
-        gw = backward(model, tapes[t - 1], np.where(interior, g, 0.0), grads)
-        g = jacobi_step_adjoint(g + gw, p) - gw
+    # as in the forward pass, overflow is reported by the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(tapes), 0, -1):
+            if live[t] > len(g):  # samples whose k = t enter the adjoint here
+                g = np.concatenate([g, scale * residuals[t - 1]])
+            gw = backward(model, tapes[t - 1], np.where(interior, g, 0.0), grads)
+            g = jacobi_step_adjoint(g + gw, p) - gw
+            if not np.isfinite(g).all():
+                raise TrainingError(f"non-finite adjoint at unroll step {t}")
+    if not all(np.isfinite(gr).all() for gr in grads):
+        raise TrainingError("non-finite gradient")
     return value, grads
 
 

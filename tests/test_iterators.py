@@ -1,14 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from poisolve.grid import make_problem, relative_error, residual_norms
+from poisolve.geometry import GeometrySpec, generate, random_geometry
+from poisolve.grid import laplacian_apply, make_problem, relative_error, residual_norms
 from poisolve.iterators import (
     JacobiIterator,
     MultigridConfig,
     MultigridIterator,
+    _interior_residual_field,
+    damped_jacobi_step,
     ground_truth,
     jacobi_step,
+    neighbor_mean,
+    prolong_bilinear,
     reset_start,
+    restrict_full_weighting,
     solve_to_tol,
 )
 
@@ -164,6 +172,23 @@ class TestSolveToTol:
         initial = residual_norms(p17_poisson, u0)[0]
         assert residual_norms(p17_poisson, u)[0] <= 1e-3 * initial
 
+    def test_stopping_error_is_relative_error(self, p17_poisson):
+        us = ground_truth(p17_poisson)
+        u0 = np.random.default_rng(12).standard_normal((17, 17))
+        for steps in (0, 7):
+            u, rep = solve_to_tol(JacobiIterator(), p17_poisson, u0, 1e-9, steps,
+                                  u_star=us)
+            assert rep.final_relative_error == relative_error(u, us)
+        # u* = 0: the absolute norm, as relative_error reads it
+        u, rep = solve_to_tol(JacobiIterator(), p17_poisson, u0, 1e-9, 3,
+                              u_star=np.zeros((17, 17)))
+        assert rep.final_relative_error == relative_error(u, np.zeros((17, 17)))
+
+    def test_reference_shape_mismatch_rejected(self, p17):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solve_to_tol(JacobiIterator(), p17, reset_start(p17), 1e-2, 10,
+                         u_star=np.zeros((9, 9)))
+
     def test_cost_accumulation(self, p17):
         rng = np.random.default_rng(6)
         u0 = rng.standard_normal((17, 17))
@@ -203,3 +228,120 @@ class TestGroundTruth:
                 break
             u = u_next
         assert np.abs(u - u_dense).max() <= 1e-8
+
+
+# ------------------------------------------------------------------
+# The flat-view stencil kernels against the padded formulas they replace.
+# ------------------------------------------------------------------
+
+def _ref_jacobi(u, p):
+    hat = neighbor_mean(u) + 0.25 * p.h * p.h * p.f
+    return np.where(p.mask == 1, hat, p.b)
+
+
+def _ref_damped(u, p, omega):
+    hat = (1.0 - omega) * u + omega * (neighbor_mean(u) + 0.25 * p.h * p.h * p.f)
+    return np.where(p.mask == 1, hat, p.b)
+
+
+def _ref_residual(u, p):
+    return np.where(p.mask == 1, p.f + laplacian_apply(u, p.h), 0.0)
+
+
+def _ref_cycle(cfg, u, p, coarse, level):
+    """MultigridIterator._cycle, written with the reference kernels."""
+    if level == len(coarse):
+        for _ in range(cfg.pre_smooth + cfg.post_smooth):
+            u = _ref_damped(u, p, cfg.omega)
+        return u
+    for _ in range(cfg.pre_smooth):
+        u = _ref_damped(u, p, cfg.omega)
+    pc = coarse[level]
+    fc = np.where(pc.mask == 1, restrict_full_weighting(_ref_residual(u, p)), 0.0)
+    ec = _ref_cycle(cfg, np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
+    u = u + np.where(p.mask == 1, prolong_bilinear(ec, p.n), 0.0)
+    for _ in range(cfg.post_smooth):
+        u = _ref_damped(u, p, cfg.omega)
+    return u
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+def _stencil_problems(n):
+    """The four settings and two random geometries, with random data.
+
+    At n = 3 the only mask with an interior is the single centre cell;
+    the geometry generators start at n = 9. The last problem repeats the
+    first mask with a mesh width that is not a power of two, so that h*h
+    rounds.
+    """
+    rng = np.random.default_rng(n)
+    if n == 3:
+        masks = [np.pad(np.ones((1, 1), dtype=np.uint8), 1)]
+    else:
+        masks = [generate(GeometrySpec(kind=kind, n=n, seed=1)).mask
+                 for kind in ("square", "lshape", "cylinders", "square_poisson")]
+        masks += [random_geometry(n, rng).mask for _ in range(2)]
+    hs = [None] * len(masks) + [0.3 / (n - 1)]
+    return [make_problem(m, rng.standard_normal((n, n)), rng.standard_normal((n, n)), h=h)
+            for m, h in zip(masks + masks[:1], hs)]
+
+
+KERNELS = {
+    "jacobi": (jacobi_step, _ref_jacobi),
+    "damped": (lambda u, p: damped_jacobi_step(u, p, 2.0 / 3.0),
+               lambda u, p: _ref_damped(u, p, 2.0 / 3.0)),
+    "damped_half": (lambda u, p: damped_jacobi_step(u, p, 0.5),
+                    lambda u, p: _ref_damped(u, p, 0.5)),
+    "residual": (_interior_residual_field, _ref_residual),
+}
+
+
+class TestFlatStencil:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n", [3, 17, 65])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_matches_padded_formula(self, kernel, n, lead):
+        fn, ref = KERNELS[kernel]
+        rng = np.random.default_rng(7)
+        for p in _stencil_problems(n):
+            u = rng.standard_normal(lead + (n, n))
+            assert _same_bits(fn(u, p), ref(u, p))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n", [3, 17, 65])
+    def test_stacked_data_as_in_training_unroll(self, kernel, n):
+        # b and f stacked per sample, shape (B, 1, n, n), like the unroll's
+        fn, ref = KERNELS[kernel]
+        rng = np.random.default_rng(8)
+        for p in _stencil_problems(n):
+            bs = np.where(p.mask == 1, 0.0, rng.standard_normal((4, 1, n, n)))
+            ps = replace(p, b=bs, f=rng.standard_normal((4, 1, n, n)))
+            u = rng.standard_normal((4, 1, n, n))
+            assert _same_bits(fn(u, ps), ref(u, ps))
+            # and a retiring unroll's leading rows
+            ps2 = replace(ps, b=ps.b[:2], f=ps.f[:2])
+            assert _same_bits(fn(u[:2], ps2), ref(u[:2], ps2))
+
+    def test_frame_cells_hold_boundary_values(self):
+        # NaN everywhere: nothing computed from the wrapped reads survives
+        p = _stencil_problems(17)[1]
+        u = np.full((17, 17), np.nan)
+        for kernel in ("jacobi", "damped"):
+            out = KERNELS[kernel][0](u, p)
+            assert np.array_equal(out[p.mask == 0], p.b[p.mask == 0])
+        assert np.all(_interior_residual_field(u, p)[p.mask == 0] == 0.0)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("n", [17, 65])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_vcycle_matches_reference_cycle(self, depth, n, lead):
+        rng = np.random.default_rng(9)
+        for p in _stencil_problems(n):
+            mg = MultigridIterator(MultigridConfig(depth=depth))
+            u = rng.standard_normal(lead + (n, n))
+            ref = _ref_cycle(mg.config, u, p, mg._coarse_problems(p), 0)
+            assert _same_bits(mg.step(u, p), ref)

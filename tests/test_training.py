@@ -246,6 +246,15 @@ class TestRetiringUnroll:
         with pytest.raises(TrainingError, match="non-finite iterate at unroll step"):
             loss_and_grad(m, batch)
 
+    def test_divergent_model_raises_from_reverse_pass(self, cache17):
+        # at this scale every forward iterate stays finite (only the squared
+        # loss overflows), so the unroll's own check passes; the adjoint does not
+        m = scale_model(init_model("conv3", seed=0), 1e6)
+        batch = _batch(cache17, default_config("conv3"), 0)
+        assert loss(m, batch) == np.inf
+        with pytest.raises(TrainingError, match="non-finite adjoint at unroll step"):
+            loss_and_grad(m, batch)
+
     def test_mixed_geometries_rejected(self, cache17):
         batch = _batch(cache17, default_config("conv3", steps=0), 33)
         s = batch[-1]
