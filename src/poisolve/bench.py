@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SETTINGS, GeometrySpec, generate
+from .geometry import SETTINGS, GeometrySpec, generate, square_problem
 from .grid import Problem, residual_norms
 from .iterators import (
     Iterator,
@@ -28,7 +28,7 @@ from .iterators import (
 )
 from .model import CorrectionModel, PhiIterator
 from .spectral import ValidityVerdict, certify
-from .training import default_config, square_problem
+from .training import default_config
 
 DEFAULT_THRESHOLD = 0.01  # stop at 1 percent of the initial error
 
@@ -60,9 +60,10 @@ def baseline_for(model: CorrectionModel) -> Iterator:
 
 
 def bench_size_for(model: CorrectionModel) -> int:
-    """Models are evaluated above their training size: 65 for conv stacks
-    (trained at 17), 257 for U-nets (trained at 65)."""
-    return 65 if model.arch == "conv" else 257
+    """Models are evaluated at four times their training resolution,
+    4 (n - 1) + 1: 65 for conv stacks (trained at 17), 257 for U-nets
+    (trained at 65)."""
+    return 4 * (train_size_for(model) - 1) + 1
 
 
 def train_size_for(model: CorrectionModel) -> int:

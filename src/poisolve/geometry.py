@@ -52,6 +52,16 @@ def _frame_with_sides(n: int, sides) -> tuple[np.ndarray, np.ndarray]:
     return mask, b
 
 
+def square_problem(n: int, sides) -> Problem:
+    """Laplace on the square, one constant per side (top, bottom, left, right).
+
+    Corner cells take the value of the row side (top and bottom win over
+    left and right).
+    """
+    mask, b = _frame_with_sides(n, sides)
+    return make_problem(mask, b, np.zeros((n, n)))
+
+
 def generate(spec: GeometrySpec) -> Problem:
     """Build the Problem for a geometry spec, seeded and reproducible."""
     rng = np.random.default_rng(spec.seed)

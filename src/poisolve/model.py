@@ -197,14 +197,15 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
     return g
 
 
-def apply_H(model: CorrectionModel, w: Field) -> Field:
+def apply_H(model: CorrectionModel, w: Field, tape: list | None = None) -> Field:
     """Forward pass on an (n, n) field or a (..., n, n) stack of them.
 
     The leading dimensions fold into the conv batch axis, (B, 1, n, n).
+    A tape, if given, records the pass as :func:`forward` does.
     """
     n = w.shape[-1]
     model.check_compatible(n)
-    out = forward(model, w.reshape(-1, 1, n, n))
+    out = forward(model, w.reshape(-1, 1, n, n), tape)
     return out.reshape(w.shape)
 
 
@@ -236,10 +237,11 @@ class PhiIterator(Iterator):
         self.model = model
         self.name = name or f"{model.arch}{model.depth}+{base.name}"
 
-    def step(self, u, p):
+    def step(self, u, p, tape: list | None = None):
+        """One wrapped step; a tape, if given, records the correction net's pass."""
         psi = self.base.step(u, p)
         w = psi - u
-        corr = apply_H(self.model, w)
+        corr = apply_H(self.model, w, tape)
         return psi + np.where(p.mask == 1, corr, 0.0)
 
     def step_cost(self, p):

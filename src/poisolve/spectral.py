@@ -13,12 +13,12 @@ validity verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .grid import Field, Problem, l2_norm, make_problem
+from .grid import Field, Problem, l2_norm
 from .iterators import Iterator, JacobiIterator, ground_truth
 
 DENSE_MAX_N = 33
@@ -37,15 +37,20 @@ class LinearPart:
     n: int
 
 
+def homogeneous(p: Problem) -> Problem:
+    """p's geometry with f = 0 and b = 0, where an affine step is its linear part."""
+    zeros = np.zeros((p.n, p.n))
+    return replace(p, b=zeros, f=zeros)
+
+
 def linear_part(it: Iterator, p: Problem) -> LinearPart:
     """Extract u -> T u by running the iterator with f = 0, b = 0."""
-    zeros = np.zeros((p.n, p.n))
-    homog = make_problem(p.mask, zeros, zeros, h=p.h)
+    homog = homogeneous(p)
 
     def apply(v: Field) -> Field:
         return it.step(v, homog)
 
-    if np.abs(apply(zeros)).max() != 0.0:
+    if np.abs(apply(np.zeros((p.n, p.n)))).max() != 0.0:
         raise ValueError(f"iterator {it.name} is not linear on the homogeneous problem")
     return LinearPart(apply=apply, n=p.n)
 
@@ -68,6 +73,11 @@ def materialize_dense(lp: LinearPart, n: int) -> np.ndarray:
         e[cols, i, cols] = 1.0
         T[:, i * n:(i + 1) * n] = lp.apply(e).reshape(n, N).T
     return T
+
+
+def radius_mode(n: int) -> str:
+    """The radius estimator for an n x n grid: dense up to DENSE_MAX_N, power above."""
+    return "dense" if n <= DENSE_MAX_N else "power"
 
 
 def spectral_radius(
@@ -234,7 +244,7 @@ def certify(
     this geometry.
     """
     if mode is None:
-        mode = "dense" if p.n <= DENSE_MAX_N else "power"
+        mode = radius_mode(p.n)
     rho = spectral_radius(linear_part(it, p), p.n, mode=mode)
     if u_star is None:
         u_star = ground_truth(p)

@@ -3,12 +3,17 @@
 The objective is the squared distance to the reference solution after k
 wrapped-iterator steps, with k drawn per sample from {1, ..., k_max} and
 the start field drawn white-Gaussian then reset to the boundary values.
-The unroll retires each sample at its own k: step t advances only the
-samples still short of their k, through the same Jacobi sweep the solvers
-run (:func:`poisolve.iterators.jacobi_step`). Gradients are computed by an
-explicit reverse pass over the unrolled steps, which takes each sample in
-at its own k: the adjoint of the sweep is
-:func:`poisolve.iterators.jacobi_step_adjoint` and the adjoint of the
+The wrapped iterator keeps the base solver's fixed point for any weights,
+so Phi(u) - u* = T_H (u - u*) exactly, where the linear part T_H depends
+on the mask alone. The unroll therefore runs the error recursion: the
+wrapped iterator's own step (:meth:`poisolve.model.PhiIterator.step`) on
+the batch's homogeneous problem (b = 0, f = 0), from e0 = mask (u0 - u*),
+and the loss sums the squared final errors; T_H is the operator that
+:func:`poisolve.spectral.certify` measures. The unroll retires each sample
+at its own k: step t advances only the samples still short of their k.
+Gradients are computed by an explicit reverse pass over the unrolled
+steps, which takes each sample in at its own k: the adjoint of the sweep
+is :func:`poisolve.iterators.jacobi_step_adjoint` and the adjoint of the
 correction net is the tape walk in :mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
@@ -18,16 +23,15 @@ usable with any base at inference time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Problem, make_problem
-from .iterators import JacobiIterator, ground_truth, jacobi_step, jacobi_step_adjoint
-from .model import CorrectionModel, backward, forward, init_model, parse_arch
-from .spectral import linear_part, spectral_radius
-from . import spectral as _spectral
-from .model import PhiIterator
+from .geometry import square_problem
+from .grid import Field, Problem
+from .iterators import JacobiIterator, ground_truth, jacobi_step_adjoint
+from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
+from .spectral import homogeneous, linear_part, radius_mode, spectral_radius
 
 
 class TrainingError(RuntimeError):
@@ -88,27 +92,6 @@ class LogRow:
     wall_seconds: float
 
 
-def square_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=np.uint8)
-    mask[1:-1, 1:-1] = 1
-    return mask
-
-
-def square_problem(n: int, sides) -> Problem:
-    """Square Laplace problem with constant values per side.
-
-    Corner cells take the value of the row side (top and bottom win over
-    left and right).
-    """
-    top, bottom, left, right = sides
-    b = np.zeros((n, n))
-    b[0, :] = top
-    b[-1, :] = bottom
-    b[1:-1, 0] = left
-    b[1:-1, -1] = right
-    return make_problem(square_mask(n), b, np.zeros((n, n)))
-
-
 def sample_square_problem(n: int, rng: np.random.Generator) -> Problem:
     """Laplace on the square with each side a fresh uniform value in [-1, 1]."""
     if n < 5:
@@ -152,60 +135,51 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
 
 
 # ------------------------------------------------------------------
-# Batched unrolled forward/backward. Shapes are (B, 1, n, n).
+# Batched unrolled forward/backward on the error. Shapes are (B, 1, n, n).
 # ------------------------------------------------------------------
 
-def _pile(arrs) -> np.ndarray:
-    return np.stack(arrs)[:, None, :, :]
-
-
-def _stacked_problem(batch: list[TrainSample]) -> Problem:
-    """The batch's one geometry, with every sample's b and f stacked."""
+def _geometry(batch: list[TrainSample]) -> Problem:
+    """The batch's one geometry, homogeneous (b = 0, f = 0): errors step there."""
     p = batch[0].problem
     for s in batch[1:]:
         if s.problem.h != p.h or not np.array_equal(s.problem.mask, p.mask):
             raise ValueError("training batch mixes geometries")
-    return replace(p, b=_pile([s.problem.b for s in batch]),
-                   f=_pile([s.problem.f for s in batch]))
+    return homogeneous(p)
 
 
 def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
-    """Run every sample to its own k and no further.
+    """Run every sample's error to its own k and no further.
 
     The batch is stable-sorted by k, largest first, so the samples still
     short of their k at step t are the leading live[t] rows, and those that
     retire at t keep their order in the batch. Returns the loss and, if
-    record, what the reverse pass needs: the stacked problem, live, the
-    residuals final - u* of the samples retiring at each step, and the tapes.
+    record, what the reverse pass needs: the homogeneous problem, live, the
+    final errors of the samples retiring at each step, and the tapes.
     """
     if not batch:
         raise ValueError("empty batch")
     batch = sorted(batch, key=lambda s: -s.k)
     ks = [s.k for s in batch]
     live = [sum(k >= t for k in ks) for t in range(ks[0] + 2)]
-    p = _stacked_problem(batch)
-    interior = p.mask == 1
-    u = _pile([s.u0 for s in batch])
-    ustar = _pile([s.u_star for s in batch])
+    p = _geometry(batch)
+    phi = PhiIterator(JacobiIterator(), model)
+    e = np.stack([s.u0 - s.u_star for s in batch])[:, None, :, :]
+    e = np.where(p.mask == 1, e, 0.0)
     loss = 0.0
-    residuals, tapes = [], []
+    retired, tapes = [], []
     # a divergent model overflows; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, ks[0] + 1):
-            a = live[t]
-            u = u[:a]
-            psi = jacobi_step(u, replace(p, b=p.b[:a], f=p.f[:a]))
             tape: list | None = [] if record else None
-            z = forward(model, psi - u, tape)
-            u = psi + np.where(interior, z, 0.0)
-            if not np.isfinite(u).all():
+            e = phi.step(e[:live[t]], p, tape)
+            if not np.isfinite(e).all():
                 raise TrainingError(f"non-finite iterate at unroll step {t}")
-            diff = u[live[t + 1]:] - ustar[live[t + 1]:a]
-            loss += float((diff * diff).sum())
-            residuals.append(diff)
+            final = e[live[t + 1]:].copy()  # a view would keep all of e alive
+            loss += float((final * final).sum())
+            retired.append(final)
             tapes.append(tape)
     loss /= len(batch)
-    return loss, (p, live, residuals, tapes)
+    return loss, (p, live, retired, tapes)
 
 
 def loss(model: CorrectionModel, batch: list[TrainSample]) -> float:
@@ -214,17 +188,16 @@ def loss(model: CorrectionModel, batch: list[TrainSample]) -> float:
 
 
 def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
-    value, (p, live, residuals, tapes) = _unrolled(model, batch, record=True)
+    value, (p, live, retired, tapes) = _unrolled(model, batch, record=True)
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
     scale = 2.0 / len(batch)
-    interior = p.mask == 1
-    g = scale * residuals[-1]
+    g = scale * retired[-1]
     # as in the forward pass, overflow is reported by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(len(tapes), 0, -1):
             if live[t] > len(g):  # samples whose k = t enter the adjoint here
-                g = np.concatenate([g, scale * residuals[t - 1]])
-            gw = backward(model, tapes[t - 1], np.where(interior, g, 0.0), grads)
+                g = np.concatenate([g, scale * retired[t - 1]])
+            gw = backward(model, tapes[t - 1], np.where(p.mask == 1, g, 0.0), grads)
             g = jacobi_step_adjoint(g + gw, p) - gw
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite adjoint at unroll step {t}")
@@ -263,15 +236,12 @@ class Adam:
 def _train_rho(model: CorrectionModel, p: Problem) -> float:
     """Spectral radius of the wrapped iterator at the training size.
 
-    Dense when the grid allows it; otherwise a shortened power estimate
-    good enough for progress logging (final certification reruns the full
-    estimator).
+    Same estimator as certification, but the power iteration (dense mode
+    ignores its settings) is shortened to what progress logging needs;
+    final certification reruns the full estimator.
     """
-    phi = PhiIterator(JacobiIterator(), model)
-    lp = linear_part(phi, p)
-    if p.n <= _spectral.DENSE_MAX_N:
-        return spectral_radius(lp, p.n, mode="dense")
-    return spectral_radius(lp, p.n, mode="power", iterations=600, restarts=2)
+    lp = linear_part(PhiIterator(JacobiIterator(), model), p)
+    return spectral_radius(lp, p.n, mode=radius_mode(p.n), iterations=600, restarts=2)
 
 
 def train(cfg: TrainConfig, log_path=None):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
+from poisolve.geometry import (
+    SETTINGS,
+    GeometrySpec,
+    generate,
+    random_geometry,
+    square_problem,
+)
 from poisolve.iterators import ground_truth
 
 
@@ -13,6 +19,14 @@ class TestGenerate:
         from poisolve.grid import make_problem
         p0 = make_problem(p.mask, zero_b, p.f)
         assert np.abs(ground_truth(p0)).max() < 1e-12
+
+    def test_square_problem_is_the_square_setting(self):
+        p = generate(GeometrySpec(kind="square", n=17, seed=3))
+        sides = np.random.default_rng(3).uniform(-1.0, 1.0, size=4)
+        q = square_problem(17, sides)
+        assert np.array_equal(p.mask, q.mask) and p.mask.dtype == q.mask.dtype
+        assert np.array_equal(p.b, q.b)
+        assert np.array_equal(p.f, q.f) and p.h == q.h
 
     @pytest.mark.parametrize("kind", SETTINGS)
     def test_settings_valid_and_reproducible(self, kind):

@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poisolve import training
 from poisolve.grid import make_problem, residual_norms
 from poisolve.iterators import jacobi_step, neighbor_mean
 from poisolve.model import (
@@ -171,26 +170,38 @@ class TestGrad:
             assert np.abs(ga - 0.5 * (gb + gc)).max() <= 1e-12
 
 
-def _full_batch_unroll(model, batch):
+def _full_batch_unroll(model, batch, error_form=True):
     """Loss and gradients with every sample carried to the batch's largest k.
 
     The reference for the retiring unroll: a sample past its k is stepped
     on but adds nothing to the loss, and its adjoint is zero until its k.
+    The error form steps e = M (u0 - u*) on b = 0, f = 0 towards 0, as
+    training does; the data form steps u0 on the sample's own problem
+    towards u*, the objective ||Phi^k(u0) - u*||^2 as first written.
     """
     def pile(arrs):
         return np.stack(arrs)[:, None, :, :]
 
     M = pile([s.problem.mask.astype(np.float64) for s in batch])
-    bb = pile([s.problem.b for s in batch])
-    q = pile([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
     u = pile([s.u0 for s in batch])
     ustar = pile([s.u_star for s in batch])
+    if error_form:
+        u, ustar = M * (u - ustar), np.zeros_like(u)
+
+        def sweep(v):
+            return M * neighbor_mean(v)
+    else:
+        bb = pile([s.problem.b for s in batch])
+        q = pile([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
+
+        def sweep(v):
+            return M * (neighbor_mean(v) + q) + (1.0 - M) * bb
     ks = np.array([s.k for s in batch])
     value = 0.0
     finals = np.zeros_like(u)
     tapes = []
     for t in range(1, ks.max() + 1):
-        psi = M * (neighbor_mean(u) + q) + (1.0 - M) * bb
+        psi = sweep(u)
         tape = []
         u = psi + M * forward(model, psi - u, tape)
         tapes.append(tape)
@@ -225,6 +236,20 @@ class TestRetiringUnroll:
         for g, r in zip(grads, ref_grads):
             assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
 
+    @pytest.mark.parametrize("arch", ["conv3", "unet2"])
+    def test_error_form_matches_data_form(self, cache17, arch):
+        # Phi keeps u* fixed, so stepping the error is stepping the data
+        # shifted by u*: the two objectives differ only by rounding
+        m = scale_model(init_model(arch, seed=7), 10.0)
+        cfg = TrainConfig(arch=arch, n=17, steps=0)
+        for seed in (31, 34, 35):
+            batch = _batch(cache17, cfg, seed)
+            value, grads = loss_and_grad(m, batch)
+            ref_value, ref_grads = _full_batch_unroll(m, batch, error_form=False)
+            assert abs(value - ref_value) <= 1e-10 * ref_value
+            for g, r in zip(grads, ref_grads):
+                assert np.abs(g - r).max() <= 1e-10 * np.abs(r).max()
+
     def test_forward_rows_sum_to_k(self, cache17, monkeypatch):
         rows = []
 
@@ -232,7 +257,7 @@ class TestRetiringUnroll:
             rows.append(x.shape[0])
             return forward(model, x, tape)
 
-        monkeypatch.setattr(training, "forward", counting_forward)
+        monkeypatch.setattr("poisolve.model.forward", counting_forward)
         batch = _batch(cache17, default_config("conv3", steps=0), 32)
         ks = [s.k for s in batch]
         assert sum(ks) < len(ks) * max(ks)
