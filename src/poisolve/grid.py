@@ -17,7 +17,7 @@ whose fixed point must satisfy the residual definition below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,12 @@ class Problem:
     f: np.ndarray
     n: int
     h: float
+    # whether f has a nonzero cell: set once when the Problem is built (also
+    # by dataclasses.replace), since its arrays are never written afterwards
+    has_source: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "has_source", bool(self.f.any()))
 
     @property
     def interior_count(self) -> int:

@@ -23,8 +23,12 @@ This relies on the invariant that the outermost frame is always boundary
 a Problem keeps. Each interior cell sees the same floating-point
 operations in the same order as the padded formula
 neighbor_mean(u) + (h^2/4) f, so iterates match that formula bit for
-bit; the tests hold it as the reference. neighbor_mean itself,
-zero-padded and defined on the frame too, serves only jacobi_step_adjoint.
+bit; the tests hold it as the reference. When f has no nonzero cell (a
+homogeneous problem, as every training and certification step runs on;
+Problem.has_source, set when a problem is built) the sweeps skip adding
+(h^2/4) f, which changes no value: only an exact zero may come out as
+-0.0 where the formula gives +0.0. neighbor_mean itself, zero-padded and
+defined on the frame too, serves only jacobi_step_adjoint.
 
 Cost accounting conventions (used by every report in this package):
 
@@ -123,7 +127,8 @@ def jacobi_step(u: Field, p: Problem) -> Field:
 
     def update(s, uc, fs, fc):
         s *= 0.25
-        fs += c * fc
+        if p.has_source:  # adding c * 0 would change no value
+            fs += c * fc
 
     return _stencil(u, p, update, p.b)
 
@@ -143,7 +148,8 @@ def damped_jacobi_step(u: Field, p: Problem, omega: float) -> Field:
 
     def update(s, uc, fs, fc):
         s *= 0.25
-        fs += c * fc
+        if p.has_source:
+            fs += c * fc
         s *= omega
         s += (1.0 - omega) * uc
 

@@ -22,6 +22,7 @@ usable with any base at inference time.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -155,6 +156,8 @@ def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
     retire at t keep their order in the batch. Returns the loss and, if
     record, what the reverse pass needs: the homogeneous problem, live, the
     final errors of the samples retiring at each step, and the tapes.
+    Raises TrainingError at the first step whose iterate or accumulated
+    loss is not finite.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -167,7 +170,7 @@ def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
     e = np.where(p.mask == 1, e, 0.0)
     loss = 0.0
     retired, tapes = [], []
-    # a divergent model overflows; the finiteness check below reports it
+    # a divergent model overflows; the finiteness checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, ks[0] + 1):
             tape: list | None = [] if record else None
@@ -176,6 +179,8 @@ def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
                 raise TrainingError(f"non-finite iterate at unroll step {t}")
             final = e[live[t + 1]:].copy()  # a view would keep all of e alive
             loss += float((final * final).sum())
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite loss ({loss}) at unroll step {t}")
             retired.append(final)
             tapes.append(tape)
     loss /= len(batch)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,19 @@ class TestProblemInvariants:
         b[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             make_problem(mask, b, np.zeros((n, n)))
+
+    def test_has_source(self):
+        n = 5
+        mask = np.zeros((n, n), dtype=np.uint8)
+        mask[1:-1, 1:-1] = 1
+        f = np.zeros((n, n))
+        f[0, 0] = -0.0
+        p = make_problem(mask, np.zeros((n, n)), f)
+        assert not p.has_source
+        f[2, 2] = 1e-300  # make_problem copied f
+        assert not p.has_source
+        assert replace(p, f=f).has_source
+        assert not replace(p, f=np.zeros((3, n, n))).has_source
 
 
 class TestFileRoundTrips:

@@ -326,6 +326,22 @@ class TestFlatStencil:
             ps2 = replace(ps, b=ps.b[:2], f=ps.f[:2])
             assert _same_bits(fn(u[:2], ps2), ref(u[:2], ps2))
 
+    @pytest.mark.parametrize("kernel", ["jacobi", "damped", "damped_half"])
+    @pytest.mark.parametrize("n", [3, 17, 65])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_homogeneous_sweeps_match_padded_formula(self, kernel, n, lead):
+        # with f = 0 the sweeps skip adding (h^2/4) f: equal values, though an
+        # exact zero may keep the sign that adding +0.0 would have cleared
+        fn, ref = KERNELS[kernel]
+        rng = np.random.default_rng(10)
+        for p in _stencil_problems(n):
+            u = rng.standard_normal(lead + (n, n))
+            u[..., : n // 2, :] = -0.0
+            for f in (np.zeros((n, n)), np.full(lead + (n, n), -0.0)):
+                ph = replace(p, f=f)
+                out, expect = fn(u, ph), ref(u, ph)
+                assert out.shape == expect.shape and np.array_equal(out, expect)
+
     def test_frame_cells_hold_boundary_values(self):
         # NaN everywhere: nothing computed from the wrapped reads survives
         p = _stencil_problems(17)[1]

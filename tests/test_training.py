@@ -266,17 +266,33 @@ class TestRetiringUnroll:
         assert sum(rows) == sum(ks)
 
     def test_divergent_model_raises_from_unroll(self, cache17):
-        m = scale_model(init_model("conv3", seed=0), 1e10)
+        # at this scale the first steps overflow the iterates themselves,
+        # before any retiring sample's squared error overflows the loss
+        m = scale_model(init_model("conv3", seed=0), 1e100)
         batch = _batch(cache17, default_config("conv3", steps=0), 0)
-        with pytest.raises(TrainingError, match="non-finite iterate at unroll step"):
+        with pytest.raises(TrainingError, match="non-finite iterate at unroll step 2"):
             loss_and_grad(m, batch)
 
-    def test_divergent_model_raises_from_reverse_pass(self, cache17):
-        # at this scale every forward iterate stays finite (only the squared
-        # loss overflows), so the unroll's own check passes; the adjoint does not
+    def test_divergent_model_raises_on_non_finite_loss(self, cache17):
+        # every iterate stays finite; only the accumulated squared error overflows
         m = scale_model(init_model("conv3", seed=0), 1e6)
         batch = _batch(cache17, default_config("conv3"), 0)
-        assert loss(m, batch) == np.inf
+        for fn in (loss, loss_and_grad):
+            with pytest.raises(TrainingError,
+                               match=r"non-finite loss \(inf\) at unroll step 14"):
+                fn(m, batch)
+
+    def test_divergent_model_raises_from_reverse_pass(self):
+        # the adjoint carried back to step 1 is about the loss over the start
+        # error, so start errors of 1e-100 keep the loss finite (about 7e230)
+        # while the adjoint overflows
+        m = scale_model(init_model("conv3", seed=0), 1e10)
+        p = square_problem(17, (0.0, 0.0, 0.0, 0.0))
+        rng = np.random.default_rng(0)
+        batch = [TrainSample(p, np.zeros((17, 17)),
+                             np.where(p.mask == 1, 1e-100 * rng.standard_normal((17, 17)), 0.0), k)
+                 for k in (3, 5, 8)]
+        assert np.isfinite(loss(m, batch))
         with pytest.raises(TrainingError, match="non-finite adjoint at unroll step"):
             loss_and_grad(m, batch)
 
