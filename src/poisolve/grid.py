@@ -92,8 +92,8 @@ def make_problem(mask, b, f, h: float | None = None) -> Problem:
         raise ValueError("boundary values and source must be finite")
     if h is None:
         h = 1.0 / (n - 1)
-    if h <= 0:
-        raise ValueError(f"mesh width must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"mesh width must be finite and positive, got {h}")
     b = np.where(mask == 1, 0.0, b)
     b.flags.writeable = False
     f = f.copy()
@@ -173,38 +173,92 @@ def relative_error(u: Field, u_star: Field) -> float:
 
 
 # ------------------------------------------------------------------
-# File I/O. Decimal text at >= 17 significant digits so that float64
-# round-trips bit-for-bit.
+# File I/O (layouts in README "File formats"). ASCII text, one grid row
+# per line, LF line ends; float values are written "%.17g" (17
+# significant digits, so every float64 round-trips bit for bit) and
+# separated by single spaces, mask cells as the digits 0 and 1. Writers
+# format a whole row with one %-template. Readers split and count-check
+# the rows of a block in order, then convert the block in one numpy call,
+# which reads every token exactly as float() does. A malformed file, or
+# one whose values break a Problem invariant, raises FileFormatError
+# naming its first offending line.
 # ------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_rows(fh, a) -> None:
+    """Write a 2-D array one line per row: "%.17g" values, single spaces."""
+    a = np.asarray(a, dtype=np.float64)
+    line = " ".join(["%.17g"] * a.shape[1]) + "\n"
+    for row in a.tolist():
+        fh.write(line % tuple(row))
+
+
+def _floats(token_rows: list[list[str]], width: int, first_line: int,
+            message: str) -> np.ndarray:
+    """Rows of `width` decimal tokens, from line first_line on, as float64.
+
+    Blocks made only of "0" and "1" tokens (masks, zero sources) are read
+    from their bytes; the test stops at the first row with another token.
+    Any other block is converted in one call; only if that fails are its
+    rows tried one by one, so the FileFormatError (carrying message) names
+    the first row with a bad token.
+    """
+    digits = []
+    for tokens in token_rows:
+        row = "".join(tokens)
+        if len(row) != width or row.count("0") + row.count("1") != width:
+            break
+        digits.append(row)
+    else:
+        cells = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8)
+        return np.subtract(cells, ord("0"), dtype=np.float64).reshape(-1, width)
+    try:
+        return np.array(token_rows, dtype=np.float64)
+    except ValueError:
+        for k, tokens in enumerate(token_rows):
+            try:
+                np.array(tokens, dtype=np.float64)
+            except ValueError:
+                raise FileFormatError(message, first_line + k) from None
+        raise
 
 
 def _parse_block(lines, start: int, n: int, what: str) -> np.ndarray:
-    rows = []
-    for k in range(n):
-        lineno = start + k
+    """Lines start .. start+n-1 (1-based) as an (n, n) float64 block.
+
+    A short file or a row of the wrong width is reported only after the
+    rows above it have converted, so the first malformed row wins,
+    whatever is wrong with it.
+    """
+    rows, error = [], None
+    for lineno in range(start, start + n):
         if lineno > len(lines):
-            raise FileFormatError(f"unexpected end of file in {what} block", lineno)
+            error = FileFormatError(f"unexpected end of file in {what} block", lineno)
+            break
         tokens = lines[lineno - 1].split()
         if len(tokens) != n:
-            raise FileFormatError(
+            error = FileFormatError(
                 f"{what} row has {len(tokens)} values, expected {n}", lineno
             )
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            raise FileFormatError(f"bad numeric value in {what} block", lineno)
-    return np.array(rows, dtype=np.float64)
+            break
+        rows.append(tokens)
+    block = _floats(rows, n, start, f"bad numeric value in {what} block")
+    if error is not None:
+        raise error
+    return block
+
+
+def _check_rows(bad: np.ndarray, first_line: int, message: str) -> None:
+    """Raise FileFormatError on the first row of a block with a bad cell."""
+    rows = bad.any(axis=1)
+    if rows.any():
+        raise FileFormatError(message, first_line + int(rows.argmax()))
 
 
 def save_field(u: Field, path) -> None:
     n = u.shape[0]
     with open(path, "w") as fh:
         fh.write(f"{n} {n}\n")
-        for row in u:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+        _write_rows(fh, u)
 
 
 def load_field(path) -> Field:
@@ -227,17 +281,18 @@ def load_field(path) -> Field:
 
 
 def save_problem(p: Problem, path) -> None:
+    # mask rows are built as bytes: each cell's digit, then a space or LF
+    cells = np.full((p.n, 2 * p.n), ord(" "), dtype=np.uint8)
+    cells[:, ::2] = p.mask + ord("0")
+    cells[:, -1] = ord("\n")
     with open(path, "w") as fh:
         fh.write(f"{p.n}\n")
-        for row in p.mask:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        fh.write(cells.tobytes().decode("ascii"))
         fh.write("\n")
-        for row in p.b:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+        _write_rows(fh, p.b)
         fh.write("\n")
-        for row in p.f:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
-        fh.write(f"h {_fmt(p.h)}\n")
+        _write_rows(fh, p.f)
+        fh.write("h %.17g\n" % p.h)
 
 
 def load_problem(path) -> Problem:
@@ -253,9 +308,10 @@ def load_problem(path) -> Problem:
         raise FileFormatError(f"grid size {n} too small", 1)
 
     mask = _parse_block(lines, 2, n, "mask")
-    if not np.isin(mask, (0.0, 1.0)).all():
-        bad = int(np.argwhere(~np.isin(mask, (0.0, 1.0)))[0][0])
-        raise FileFormatError("mask cells must be 0 or 1", 2 + bad)
+    _check_rows(~np.isin(mask, (0.0, 1.0)), 2, "mask cells must be 0 or 1")
+    frame = np.ones((n, n), dtype=bool)
+    frame[1:-1, 1:-1] = False
+    _check_rows((mask == 1.0) & frame, 2, "outermost frame must be boundary (mask = 0)")
 
     def expect_blank(lineno):
         if lineno > len(lines) or lines[lineno - 1].strip():
@@ -263,8 +319,10 @@ def load_problem(path) -> Problem:
 
     expect_blank(2 + n)
     b = _parse_block(lines, 3 + n, n, "boundary-value")
+    _check_rows(~np.isfinite(b), 3 + n, "non-finite value in boundary-value block")
     expect_blank(3 + 2 * n)
     f = _parse_block(lines, 4 + 2 * n, n, "source")
+    _check_rows(~np.isfinite(f), 4 + 2 * n, "non-finite value in source block")
     h_lineno = 4 + 3 * n
     if h_lineno > len(lines):
         raise FileFormatError("missing trailing 'h <decimal>' line", h_lineno)
@@ -275,4 +333,6 @@ def load_problem(path) -> Problem:
         h = float(tokens[1])
     except ValueError:
         raise FileFormatError("bad mesh width value", h_lineno)
+    if not (math.isfinite(h) and h > 0):
+        raise FileFormatError(f"mesh width must be finite and positive, got {h}", h_lineno)
     return make_problem(mask.astype(np.uint8), b, f, h=h)

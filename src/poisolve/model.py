@@ -29,7 +29,7 @@ from .conv import (
     transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
-from .grid import Field, FileFormatError, Problem, _fmt
+from .grid import Field, FileFormatError, Problem, _floats, _write_rows
 from .iterators import Iterator
 
 
@@ -262,9 +262,7 @@ def save_model(m: CorrectionModel, path) -> None:
                 f"layer {idx} in {layer.in_ch} out {layer.out_ch} "
                 f"stride {layer.stride} transposed {int(layer.transposed)}\n"
             )
-            for ci in range(layer.in_ch):
-                for co in range(layer.out_ch):
-                    fh.write(" ".join(_fmt(v) for v in layer.weights[ci, co].ravel()) + "\n")
+            _write_rows(fh, layer.weights.reshape(-1, 9))  # one kernel per line
 
 
 def _ints(tokens: list[str], what: str, line: int) -> list[int]:
@@ -318,10 +316,8 @@ def load_model(path) -> CorrectionModel:
                 vals = lines[pos].split()
                 if len(vals) != 9:
                     raise FileFormatError("kernel row needs 9 values", pos + 1)
-                try:
-                    w[i, o] = np.array([float(v) for v in vals]).reshape(3, 3)
-                except ValueError:
-                    raise FileFormatError("bad numeric value in kernel row", pos + 1) from None
+                w[i, o] = _floats([vals], 9, pos + 1,
+                                  "bad numeric value in kernel row").reshape(3, 3)
                 pos += 1
         layers.append(ConvLayer(ci, co, stride, bool(transposed), w))
     m = CorrectionModel(arch, depth, channels, layers)
