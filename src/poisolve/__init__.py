@@ -26,7 +26,6 @@ from .grid import (
 from .iterators import (
     Iterator,
     JacobiIterator,
-    MultigridConfig,
     MultigridIterator,
     ground_truth,
     jacobi_step,

@@ -21,7 +21,6 @@ from .grid import Problem, residual_norms
 from .iterators import (
     Iterator,
     JacobiIterator,
-    MultigridConfig,
     MultigridIterator,
     ground_truth,
     solve_to_tol,
@@ -31,6 +30,7 @@ from .spectral import ValidityVerdict, certify
 from .training import default_config
 
 DEFAULT_THRESHOLD = 0.01  # stop at 1 percent of the initial error
+MAX_STEPS = 200000  # steps per solve before a setting counts as not converged
 
 
 class BenchError(ValueError):
@@ -56,7 +56,7 @@ def baseline_for(model: CorrectionModel) -> Iterator:
     """Conv stacks race plain Jacobi; U-nets race multigrid of equal depth."""
     if model.arch == "conv":
         return JacobiIterator()
-    return MultigridIterator(MultigridConfig(depth=model.depth))
+    return MultigridIterator(model.depth)
 
 
 def bench_size_for(model: CorrectionModel) -> int:
@@ -84,17 +84,14 @@ def run_benchmark(
     threshold: float = DEFAULT_THRESHOLD,
     n: int | None = None,
     seed: int = 0,
-    max_steps: int = 200000,
-    skip_certification: bool = False,
 ) -> list[BenchResult]:
-    if not skip_certification:
-        verdict = certify_for_bench(model)
-        if not verdict.valid:
-            raise BenchError(
-                f"model is not certified valid on its training geometry "
-                f"(rho = {verdict.rho_estimate:.6f}, "
-                f"fixed-point residual = {verdict.fixed_point_residual:.3e})"
-            )
+    verdict = certify_for_bench(model)
+    if not verdict.valid:
+        raise BenchError(
+            f"model is not certified valid on its training geometry "
+            f"(rho = {verdict.rho_estimate:.6f}, "
+            f"fixed-point residual = {verdict.fixed_point_residual:.3e})"
+        )
     n = n or bench_size_for(model)
     base = baseline_for(model)
     phi = PhiIterator(JacobiIterator(), model, name=model_id)
@@ -106,8 +103,8 @@ def run_benchmark(
         u_star = ground_truth(p)
         rng = np.random.default_rng(seed + 1)
         u0 = np.where(p.mask == 1, rng.standard_normal((n, n)), p.b)
-        ub, rb = solve_to_tol(base, p, u0, threshold, max_steps, u_star=u_star)
-        um, rm = solve_to_tol(phi, p, u0, threshold, max_steps, u_star=u_star)
+        ub, rb = solve_to_tol(base, p, u0, threshold, MAX_STEPS, u_star=u_star)
+        um, rm = solve_to_tol(phi, p, u0, threshold, MAX_STEPS, u_star=u_star)
         both = rb.converged and rm.converged
         for u, rep in ((ub, rb), (um, rm)):
             if rep.converged:

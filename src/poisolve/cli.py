@@ -12,12 +12,11 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .geometry import GeometrySpec, generate
+from .geometry import SETTINGS, GeometrySpec, generate
 from .grid import FileFormatError, load_problem, residual_norms, save_field, save_problem
 from .iterators import (
     Iterator,
     JacobiIterator,
-    MultigridConfig,
     MultigridIterator,
     reset_start,
     solve_to_tol,
@@ -28,6 +27,8 @@ from .training import default_config, train, write_log
 
 SOLVER_NAMES = ("jacobi", "mg2", "mg3", "conv1", "conv2", "conv3", "conv4",
                 "unet2", "unet3")
+KIND_ALIASES = {"poisson": "square_poisson"}
+KINDS = SETTINGS + tuple(KIND_ALIASES)  # what --kind and --suite accept
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -44,7 +45,7 @@ def _build_solver(name: str, model_path) -> Iterator:
     if name == "jacobi":
         return JacobiIterator()
     if name in ("mg2", "mg3"):
-        return MultigridIterator(MultigridConfig(depth=int(name[2:])))
+        return MultigridIterator(int(name[2:]))
     if name in SOLVER_NAMES:
         if model_path is None:
             raise CliError(f"solver {name!r} needs --model with trained weights")
@@ -59,7 +60,7 @@ def _build_solver(name: str, model_path) -> Iterator:
 
 
 def _geometry_kind(kind: str) -> str:
-    return {"poisson": "square_poisson"}.get(kind, kind)
+    return KIND_ALIASES.get(kind, kind)
 
 
 def cmd_gen(args) -> int:
@@ -91,7 +92,7 @@ def cmd_spectral(args) -> int:
     v = certify(it, p, mode=args.mode)
     norm_s = ""
     if args.n <= DENSE_MAX_N:
-        norm_s = format(spectral_norm(linear_part(it, p), args.n), ".6g")
+        norm_s = format(spectral_norm(linear_part(it, p)), ".6g")
     print("iterator,geometry,n,mode,rho,norm,fixed_point_residual,valid")
     print(f"{it.name},{kind},{args.n},{v.method},{v.rho_estimate:.6g},{norm_s},"
           f"{v.fixed_point_residual:.6g},{int(v.valid)}")
@@ -119,7 +120,7 @@ def cmd_bench(args) -> int:
     if args.model is None:
         raise CliError("bench needs --model with trained weights")
     model = load_model(args.model)
-    suite = bench_mod.SETTINGS if args.suite == "all" else (_geometry_kind(args.suite),)
+    suite = SETTINGS if args.suite == "all" else (_geometry_kind(args.suite),)
     try:
         results = bench_mod.run_benchmark(
             model, model_id=f"{model.arch}{model.depth}",
@@ -147,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a problem file")
-    gen.add_argument("--kind", required=True,
-                     choices=["square", "lshape", "cylinders", "square_poisson", "poisson"])
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectral.add_argument("--model", default=None)
     spectral.add_argument("--n", type=int, default=17)
     spectral.add_argument("--mode", choices=["dense", "power"], default=None)
-    spectral.add_argument("--kind", default="square",
-                          choices=["square", "lshape", "cylinders", "square_poisson", "poisson"])
+    spectral.add_argument("--kind", default="square", choices=KINDS)
     spectral.add_argument("--seed", type=int, default=0)
     spectral.set_defaults(func=cmd_spectral)
 
@@ -187,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("bench", help="cost-ratio benchmark vs the baseline")
     be.add_argument("--model", default=None)
-    be.add_argument("--suite", default="all",
-                    choices=["all", "square", "lshape", "cylinders", "poisson"])
+    be.add_argument("--suite", default="all", choices=("all",) + KINDS)
     be.add_argument("--tol", type=float, default=0.01)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--report", default=None)

@@ -16,7 +16,7 @@ by the certification sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +24,20 @@ from .grid import Problem, make_problem
 
 SETTINGS = ("square", "lshape", "cylinders", "square_poisson")
 
+NOTCH_FRACTION = 0.5  # lshape: removed fraction per axis
+DISK_RADIUS_FRACTION = 0.125  # cylinders: radius as a fraction of n
+# cylinders: disk centres as fractions of n - 1; for every n >= 9 the disks
+# are disjoint and lie inside the frame (closest centres 0.45 (n - 1) apart)
+DISK_CENTERS = ((0.25, 0.25), (0.25, 0.75), (0.625, 0.5))
+SOURCE_MAGNITUDE = 50.0  # square_poisson, scaled by 1/h^2
+SOURCE_POSITIONS = ((1 / 3, 1 / 3), (2 / 3, 2 / 3))
+
 
 @dataclass
 class GeometrySpec:
     kind: str
     n: int
     seed: int = 0
-    notch_fraction: float = 0.5        # lshape: removed fraction per axis
-    disk_radius_fraction: float = 0.125  # cylinders: radius as fraction of n
-    disk_centers: tuple = ((0.25, 0.25), (0.25, 0.75), (0.625, 0.5))
-    source_magnitude: float = 50.0     # square_poisson, scaled by 1/h^2
-    source_positions: tuple = ((1 / 3, 1 / 3), (2 / 3, 2 / 3))
 
     def __post_init__(self):
         if self.kind not in SETTINGS:
@@ -72,27 +75,20 @@ def generate(spec: GeometrySpec) -> Problem:
 
     if spec.kind == "lshape":
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        notch = (ii < spec.notch_fraction * n) & (jj >= n - spec.notch_fraction * n)
+        notch = (ii < NOTCH_FRACTION * n) & (jj >= n - NOTCH_FRACTION * n)
         mask[notch] = 0
         b[notch] = 0.0
     elif spec.kind == "cylinders":
-        radius = spec.disk_radius_fraction * n
-        centers = [(c[0] * (n - 1), c[1] * (n - 1)) for c in spec.disk_centers]
-        for (ca, cb) in ((x, y) for i, x in enumerate(centers) for y in centers[i + 1:]):
-            dist = np.hypot(ca[0] - cb[0], ca[1] - cb[1])
-            if dist <= 2.0 * radius:
-                raise ValueError(f"disks at {ca} and {cb} overlap for n = {n}")
+        radius = DISK_RADIUS_FRACTION * n
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        for (ci, cj) in centers:
-            if not (radius < ci < n - 1 - radius and radius < cj < n - 1 - radius):
-                raise ValueError(f"disk at ({ci}, {cj}) leaves the domain for n = {n}")
-            disk = (ii - ci) ** 2 + (jj - cj) ** 2 <= radius ** 2
+        for ci, cj in DISK_CENTERS:
+            disk = (ii - ci * (n - 1)) ** 2 + (jj - cj * (n - 1)) ** 2 <= radius ** 2
             mask[disk] = 0
             b[disk] = rng.uniform(-1.0, 1.0)
     elif spec.kind == "square_poisson":
         h = 1.0 / (n - 1)
-        amp = spec.source_magnitude / (h * h)
-        for sign, (ri, rj) in zip((1.0, -1.0), spec.source_positions):
+        amp = SOURCE_MAGNITUDE / (h * h)
+        for sign, (ri, rj) in zip((1.0, -1.0), SOURCE_POSITIONS):
             f[int(round(ri * (n - 1))), int(round(rj * (n - 1)))] = sign * amp
 
     p = make_problem(mask, b, f)

@@ -255,6 +255,8 @@ def _check_rows(bad: np.ndarray, first_line: int, message: str) -> None:
 
 
 def save_field(u: Field, path) -> None:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"field must be square 2D, got shape {u.shape}")
     n = u.shape[0]
     with open(path, "w") as fh:
         fh.write(f"{n} {n}\n")
@@ -312,6 +314,8 @@ def load_problem(path) -> Problem:
     frame = np.ones((n, n), dtype=bool)
     frame[1:-1, 1:-1] = False
     _check_rows((mask == 1.0) & frame, 2, "outermost frame must be boundary (mask = 0)")
+    if not mask.any():
+        raise FileFormatError("problem has no interior cells", 2)
 
     def expect_blank(lineno):
         if lineno > len(lines) or lines[lineno - 1].strip():

@@ -3,12 +3,13 @@
 Both iterators map u -> T u + c for a constant T, c determined by the
 problem, and both return fields whose boundary cells equal b exactly.
 
-The V-cycle smooths with damped sweeps (default omega = 2/3): the plain
-quarter-cross update leaves the highest-frequency modes almost untouched
-(|update factor| -> 1 toward the corner of the frequency square), and
-those are exactly the modes the coarse grid cannot represent, so an
-undamped cycle contracts no faster than its sweeps alone. The standalone
-Jacobi iterator stays undamped.
+MultigridIterator(depth) runs a V-cycle over depth coarsening levels
+with PRE_SMOOTH and POST_SMOOTH sweeps per level, damped by SMOOTH_OMEGA
+= 2/3: the plain quarter-cross update leaves the highest-frequency modes
+almost untouched (|update factor| -> 1 toward the corner of the
+frequency square), and those are exactly the modes the coarse grid
+cannot represent, so an undamped cycle contracts no faster than its
+sweeps alone. The standalone Jacobi iterator stays undamped.
 
 The plain and damped sweeps and the V-cycle residual share one stencil
 kernel, :func:`_stencil`. It views a field, or a whole stack of fields,
@@ -42,7 +43,7 @@ Cost accounting conventions (used by every report in this package):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,6 +58,13 @@ from .grid import (
 
 # mul-adds per interior cell of one sweep, plain or damped
 SWEEP_MUL_ADDS = 4
+# V-cycle smoothing: sweeps before and after the coarse correction (the
+# coarsest level runs both counts), and their damping factor
+PRE_SMOOTH = 2
+POST_SMOOTH = 2
+SMOOTH_OMEGA = 2.0 / 3.0
+# steps ground_truth may take before it reports non-convergence
+GROUND_TRUTH_CYCLES = 20000
 
 
 class Iterator:
@@ -166,32 +174,17 @@ class JacobiIterator(Iterator):
         return 1, SWEEP_MUL_ADDS * p.interior_count
 
 
-@dataclass(frozen=True)
-class MultigridConfig:
-    """V-cycle shape: number of coarsening levels and smoothing sweeps.
+def depth_fault(n: int, depth: int) -> str | None:
+    """Why an n x n grid cannot coarsen depth times, or None if it can.
 
-    The coarsest level runs pre_smooth + post_smooth sweeps instead of
-    recursing further. omega is the smoothing damping factor.
+    Each coarsening halves n - 1, so n - 1 must be divisible by 2^depth,
+    and the coarsest grid must keep at least 3 x 3 points.
     """
-
-    depth: int
-    pre_smooth: int = 2
-    post_smooth: int = 2
-    omega: float = 2.0 / 3.0
-
-    def validate(self, n: int) -> None:
-        if self.depth < 1:
-            raise ValueError("multigrid depth must be >= 1")
-        if self.pre_smooth < 0 or self.post_smooth < 0:
-            raise ValueError("smoothing counts must be non-negative")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("smoothing damping must lie in (0, 1]")
-        if (n - 1) % (2 ** self.depth) != 0:
-            raise ValueError(
-                f"n-1 = {n - 1} is not divisible by 2^depth = {2 ** self.depth}"
-            )
-        if (n - 1) // (2 ** self.depth) + 1 < 3:
-            raise ValueError(f"coarsest grid below 3x3 for n={n}, depth={self.depth}")
+    if (n - 1) % (2 ** depth) != 0:
+        return f"n-1 = {n - 1} is not divisible by 2^depth = {2 ** depth}"
+    if (n - 1) // (2 ** depth) + 1 < 3:
+        return f"coarsest grid below 3x3 for n={n}, depth={depth}"
+    return None
 
 
 def restrict_full_weighting(r: Field) -> Field:
@@ -244,27 +237,33 @@ def _interior_residual_field(u: Field, p: Problem) -> Field:
 class MultigridIterator(Iterator):
     """Geometric multigrid V-cycle in residual-correction form.
 
-    Coarsening stops early on geometries whose injected mask runs out of
-    interior cells; the cycle then bottoms out at the last usable level.
+    MultigridIterator(depth) coarsens up to depth times, on grids that
+    depth_fault accepts. Coarsening stops early on geometries whose
+    injected mask runs out of interior cells; the cycle then bottoms out
+    at the last usable level.
     """
 
-    def __init__(self, config: MultigridConfig):
-        self.config = config
-        self.name = f"mg{config.depth}"
+    def __init__(self, depth: int):
+        if depth < 1:
+            raise ValueError("multigrid depth must be >= 1")
+        self.depth = depth
+        self.name = f"mg{depth}"
         # (mask, levels) of the last mask seen; solves reuse one mask
         self._hierarchy: tuple[np.ndarray, list[Problem]] | None = None
 
     def _coarse_problems(self, p: Problem) -> list[Problem]:
         """Zero-data problems at each level below p, for the error equation.
 
-        Built, and the config validated against p.n, once per mask.
+        Built, and the depth checked against p.n, once per mask.
         """
         if self._hierarchy is not None and self._hierarchy[0] is p.mask:
             return self._hierarchy[1]
-        self.config.validate(p.n)
+        fault = depth_fault(p.n, self.depth)
+        if fault is not None:
+            raise ValueError(fault)
         levels = []
         mask, h = p.mask, p.h
-        for _ in range(self.config.depth):
+        for _ in range(self.depth):
             mask = coarsen_mask(mask)
             h = 2.0 * h
             if not mask.any():
@@ -280,13 +279,12 @@ class MultigridIterator(Iterator):
         return self._cycle(u, p, self._coarse_problems(p), 0)
 
     def _cycle(self, u, p, coarse, level):
-        cfg = self.config
         if level == len(coarse):
-            for _ in range(cfg.pre_smooth + cfg.post_smooth):
-                u = damped_jacobi_step(u, p, cfg.omega)
+            for _ in range(PRE_SMOOTH + POST_SMOOTH):
+                u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
             return u
-        for _ in range(cfg.pre_smooth):
-            u = damped_jacobi_step(u, p, cfg.omega)
+        for _ in range(PRE_SMOOTH):
+            u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         r = _interior_residual_field(u, p)
         pc = coarse[level]
         fc = np.where(pc.mask == 1, restrict_full_weighting(r), 0.0)
@@ -295,27 +293,17 @@ class MultigridIterator(Iterator):
         ec = self._cycle(np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
         e = prolong_bilinear(ec, p.n)
         u = u + np.where(p.mask == 1, e, 0.0)
-        for _ in range(cfg.post_smooth):
-            u = damped_jacobi_step(u, p, cfg.omega)
+        for _ in range(POST_SMOOTH):
+            u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         return u
 
     def step_cost(self, p):
-        cfg = self.config
-        depth = len(self._coarse_problems(p))
-        layers = 0
-        ops = 0
-        mask = p.mask
-        for level in range(depth + 1):
-            interior = int(mask.sum())
-            n_level = mask.shape[0]
-            sweeps = cfg.pre_smooth + cfg.post_smooth
-            layers += sweeps
-            ops += sweeps * SWEEP_MUL_ADDS * interior
-            if level < depth:
-                nc = (n_level - 1) // 2 + 1
-                layers += 2  # restriction + prolongation
-                ops += 9 * nc * nc + 4 * n_level * n_level
-                mask = coarsen_mask(mask)
+        levels = [p] + self._coarse_problems(p)
+        sweeps = PRE_SMOOTH + POST_SMOOTH
+        # every level sweeps; every descent restricts and prolongs once
+        layers = sweeps * len(levels) + 2 * (len(levels) - 1)
+        ops = sum(sweeps * SWEEP_MUL_ADDS * q.interior_count for q in levels)
+        ops += sum(9 * c.n * c.n + 4 * q.n * q.n for q, c in zip(levels, levels[1:]))
         return layers, ops
 
 
@@ -400,20 +388,17 @@ def dense_system(p: Problem) -> tuple[np.ndarray, np.ndarray]:
 
 def _deepest_depth(n: int, cap: int = 8) -> int:
     depth = 0
-    while (
-        depth < cap
-        and (n - 1) % (2 ** (depth + 1)) == 0
-        and (n - 1) // (2 ** (depth + 1)) + 1 >= 3
-    ):
+    while depth < cap and depth_fault(n, depth + 1) is None:
         depth += 1
     return depth
 
 
-def ground_truth(p: Problem, max_cycles: int = 20000) -> Field:
+def ground_truth(p: Problem) -> Field:
     """Reference solution: dense solve for n <= 32, multigrid otherwise.
 
     The result is checked against residual_norms; failure to reach
-    1e-8 within the budget raises (it indicates an invalid problem).
+    1e-8 within GROUND_TRUTH_CYCLES steps raises (it indicates an
+    invalid problem).
     """
     if p.n <= 32:
         A, rhs = dense_system(p)
@@ -421,11 +406,11 @@ def ground_truth(p: Problem, max_cycles: int = 20000) -> Field:
     else:
         depth = _deepest_depth(p.n)
         if depth >= 1:
-            it: Iterator = MultigridIterator(MultigridConfig(depth=depth))
+            it: Iterator = MultigridIterator(depth)
         else:
             it = JacobiIterator()
         u = reset_start(p)
-        for cycle in range(max_cycles):
+        for cycle in range(GROUND_TRUTH_CYCLES):
             u_next = it.step(u, p)
             diff = float(np.abs(u_next - u).max())
             u = u_next
@@ -433,7 +418,7 @@ def ground_truth(p: Problem, max_cycles: int = 20000) -> Field:
                 break
         else:
             raise RuntimeError(
-                f"ground truth did not converge within {max_cycles} cycles "
+                f"ground truth did not converge within {GROUND_TRUTH_CYCLES} cycles "
                 f"(last successive difference {diff:.3e})"
             )
     interior, boundary = residual_norms(p, u)

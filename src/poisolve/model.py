@@ -30,7 +30,7 @@ from .conv import (
     transposed_conv2d_weight_grad,
 )
 from .grid import Field, FileFormatError, Problem, _floats, _write_rows
-from .iterators import Iterator
+from .iterators import Iterator, depth_fault
 
 
 @dataclass
@@ -56,8 +56,7 @@ class CorrectionModel:
     def compatible(self, n: int) -> bool:
         if self.arch == "conv":
             return n >= 3
-        scale = 2 ** self.depth
-        return (n - 1) % scale == 0 and (n - 1) // scale + 1 >= 3
+        return depth_fault(n, self.depth) is None
 
     def check_compatible(self, n: int) -> None:
         if not self.compatible(n):

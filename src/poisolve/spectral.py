@@ -24,6 +24,8 @@ from .iterators import Iterator, JacobiIterator, ground_truth
 DENSE_MAX_N = 33
 RHO_VALID_MARGIN = 1e-6
 FIXED_POINT_TOL = 1e-8
+POWER_WINDOW = 50  # trailing power-iteration steps the growth is averaged over
+POWER_SEED = 0  # seed of the power iteration's random start fields
 
 
 @dataclass
@@ -55,12 +57,13 @@ def linear_part(it: Iterator, p: Problem) -> LinearPart:
     return LinearPart(apply=apply, n=p.n)
 
 
-def materialize_dense(lp: LinearPart, n: int) -> np.ndarray:
-    """T as an n^2 x n^2 matrix from basis fields.
+def materialize_dense(lp: LinearPart) -> np.ndarray:
+    """T as an n^2 x n^2 matrix from basis fields, n = lp.n.
 
     The n basis fields of one grid row go through lp.apply as one stack,
     so a call holds n^3 cells, not n^4.
     """
+    n = lp.n
     if n > DENSE_MAX_N:
         raise ValueError(
             f"n = {n} exceeds the dense cap {DENSE_MAX_N}; use the power method"
@@ -82,30 +85,28 @@ def radius_mode(n: int) -> str:
 
 def spectral_radius(
     lp: LinearPart,
-    n: int,
     mode: str = "dense",
     iterations: int = 2000,
-    window: int = 50,
     restarts: int = 5,
-    seed: int = 0,
 ) -> float:
     """Largest |eigenvalue| of T: exact eigensolve or power-growth estimate.
 
     Power mode tracks the log growth of a renormalized iterate and averages
-    the growth factor over the trailing window, which irons out the
-    rotation of complex leading eigenpairs; the maximum over restarts
+    the growth factor over the trailing POWER_WINDOW steps, which irons out
+    the rotation of complex leading eigenpairs; the maximum over restarts
     guards against unlucky starts. The restarts advance together as one
     (restarts, n, n) stack; each is normalized by its own norm and stops
     on its own when its norm reaches zero.
     """
     if mode == "dense":
-        T = materialize_dense(lp, n)
+        T = materialize_dense(lp)
         return float(np.abs(np.linalg.eigvals(T)).max())
     if mode != "power":
         raise ValueError(f"unknown mode {mode!r}")
     # one draw of the whole stack yields the same start fields as one
     # (n, n) draw per restart in turn
-    v = np.random.default_rng(seed).standard_normal((restarts, n, n))
+    n, window = lp.n, POWER_WINDOW
+    v = np.random.default_rng(POWER_SEED).standard_normal((restarts, n, n))
     for r in range(restarts):
         v[r] /= l2_norm(v[r])
     log_growth = np.zeros((restarts, iterations + 1))
@@ -135,9 +136,9 @@ def spectral_radius(
     return best
 
 
-def spectral_norm(lp: LinearPart, n: int) -> float:
+def spectral_norm(lp: LinearPart) -> float:
     """Largest singular value of the materialized T (dense path only)."""
-    T = materialize_dense(lp, n)
+    T = materialize_dense(lp)
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
@@ -212,7 +213,7 @@ def oracle_correction(p: Problem, base: Iterator | None = None) -> OneStepOracle
     if p.n > 17:
         raise ValueError(f"one-step oracle is a dense construction; n = {p.n} > 17")
     base = base or JacobiIterator()
-    T = materialize_dense(linear_part(base, p), p.n)
+    T = materialize_dense(linear_part(base, p))
     eye = np.eye(T.shape[0])
     try:
         R = np.linalg.solve((eye - T).T, T.T).T
@@ -231,12 +232,7 @@ class ValidityVerdict:
     valid: bool
 
 
-def certify(
-    it: Iterator,
-    p: Problem,
-    mode: str | None = None,
-    u_star: Field | None = None,
-) -> ValidityVerdict:
+def certify(it: Iterator, p: Problem, mode: str | None = None) -> ValidityVerdict:
     """Geometry-level validity check: contraction plus fixed-point accuracy.
 
     The radius is read off the linear part, which ignores f and b entirely,
@@ -245,9 +241,8 @@ def certify(
     """
     if mode is None:
         mode = radius_mode(p.n)
-    rho = spectral_radius(linear_part(it, p), p.n, mode=mode)
-    if u_star is None:
-        u_star = ground_truth(p)
+    rho = spectral_radius(linear_part(it, p), mode=mode)
+    u_star = ground_truth(p)
     fp_res = float(np.abs(it.step(u_star, p) - u_star).max())
     valid = bool(rho <= 1.0 - RHO_VALID_MARGIN and fp_res <= FIXED_POINT_TOL)
     return ValidityVerdict(

@@ -51,13 +51,8 @@ class TrainConfig:
     k_max: int = 20
     batch: int = 8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps: int = 20000
     seed: int = 0
-    channels: int | None = None
-    bottom_layers: int | None = None
     rho_every: int = 500
 
     def __post_init__(self):
@@ -216,18 +211,23 @@ def grad(model: CorrectionModel, batch: list[TrainSample]):
     return loss_and_grad(model, batch)[1]
 
 
+ADAM_BETA1 = 0.9  # decay of the first-moment average
+ADAM_BETA2 = 0.999  # decay of the second-moment average
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 class Adam:
     """Adaptive-moment gradient descent on the kernel list."""
 
-    def __init__(self, model: CorrectionModel, lr, beta1, beta2, eps):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, model: CorrectionModel, lr):
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(layer.weights) for layer in model.layers]
         self.v = [np.zeros_like(layer.weights) for layer in model.layers]
 
     def update(self, model: CorrectionModel, grads) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for layer, g, m, v in zip(model.layers, grads, self.m, self.v):
@@ -235,7 +235,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            layer.weights = layer.weights - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            layer.weights = layer.weights - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _train_rho(model: CorrectionModel, p: Problem) -> float:
@@ -246,7 +246,7 @@ def _train_rho(model: CorrectionModel, p: Problem) -> float:
     final certification reruns the full estimator.
     """
     lp = linear_part(PhiIterator(JacobiIterator(), model), p)
-    return spectral_radius(lp, p.n, mode=radius_mode(p.n), iterations=600, restarts=2)
+    return spectral_radius(lp, mode=radius_mode(p.n), iterations=600, restarts=2)
 
 
 def train(cfg: TrainConfig, log_path=None):
@@ -255,12 +255,11 @@ def train(cfg: TrainConfig, log_path=None):
     Fully reproducible from cfg.seed. Aborts with TrainingError on
     divergence and on a failed post-training validity check.
     """
-    model = init_model(cfg.arch, seed=cfg.seed, channels=cfg.channels,
-                       bottom_layers=cfg.bottom_layers)
+    model = init_model(cfg.arch, seed=cfg.seed)
     cache = SquareSolutionCache(cfg.n)
     model.check_compatible(cfg.n)
     rng = np.random.default_rng(cfg.seed + 1000003)
-    opt = Adam(model, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(model, cfg.lr)
     log: list[LogRow] = []
     t_start = time.time()
     geometry = square_problem(cfg.n, (0.0, 0.0, 0.0, 0.0))

@@ -8,15 +8,21 @@ import numpy as np
 import pytest
 
 from poisolve.geometry import GeometrySpec, generate
-from poisolve.iterators import JacobiIterator, MultigridConfig, MultigridIterator
+from poisolve.iterators import JacobiIterator, MultigridIterator
 from poisolve.model import PhiIterator, init_model
-from poisolve.spectral import linear_part, materialize_dense, spectral_radius
+from poisolve.spectral import (
+    POWER_SEED,
+    POWER_WINDOW,
+    linear_part,
+    materialize_dense,
+    spectral_radius,
+)
 
 
 def _iterators():
     return {
         "jacobi": JacobiIterator(),
-        "mg2": MultigridIterator(MultigridConfig(depth=2)),
+        "mg2": MultigridIterator(2),
         "conv3": PhiIterator(JacobiIterator(), init_model("conv3", seed=1)),
         "unet2": PhiIterator(JacobiIterator(), init_model("unet2", seed=2)),
     }
@@ -82,13 +88,12 @@ def test_step_equals_per_field_steps(problems, name, lead):
 @pytest.mark.parametrize("name", ITERATORS)
 def test_power_radius_equals_sequential_restarts(problems, name):
     lp = linear_part(_iterators()[name], problems[1])
-    got = spectral_radius(lp, 17, mode="power", iterations=120, window=20,
-                          restarts=3, seed=5)
-    assert got == _reference_power(lp, 17, iterations=120, window=20,
-                                   restarts=3, seed=5)
+    got = spectral_radius(lp, mode="power", iterations=120, restarts=3)
+    assert got == _reference_power(lp, 17, iterations=120, window=POWER_WINDOW,
+                                   restarts=3, seed=POWER_SEED)
 
 
 @pytest.mark.parametrize("name", ITERATORS)
 def test_dense_matrix_equals_column_loop(problems, name):
     lp = linear_part(_iterators()[name], problems[2])
-    assert np.array_equal(materialize_dense(lp, 17), _reference_dense(lp, 17))
+    assert np.array_equal(materialize_dense(lp), _reference_dense(lp, 17))

@@ -1,6 +1,10 @@
-import numpy as np
+import shlex
+from pathlib import Path
 
-from poisolve.cli import main
+import numpy as np
+import pytest
+
+from poisolve.cli import build_parser, main
 from poisolve.model import save_model, zero_model
 from poisolve.training import default_config, train
 
@@ -108,3 +112,17 @@ class TestTrainBench:
         code, _, err = run(capsys, "solve", "--problem", str(problem),
                            "--solver", "conv3", "--model", str(mp))
         assert code == 2 and "conv2" in err
+
+
+def test_readme_cli_examples_parse():
+    """Every `poisolve ...` line in README's CLI section is a valid command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = [line for line in section.splitlines() if line.startswith("poisolve ")]
+    assert len(examples) >= 5
+    parser = build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

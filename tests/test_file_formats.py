@@ -95,6 +95,12 @@ class TestWrittenBytes:
         save_field(u, tmp_path / "u.txt")
         assert (tmp_path / "u.txt").read_bytes() == reference_field_text(u).encode()
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (9,), (2, 3, 3)])
+    def test_field_must_be_square_2d(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="square 2D"):
+            save_field(np.zeros(shape), tmp_path / "u.txt")
+        assert not (tmp_path / "u.txt").exists()
+
     @pytest.mark.parametrize("n", [17, 257])
     @pytest.mark.parametrize("kind", SETTINGS)
     def test_problem_matches_per_value_formula(self, tmp_path, kind, n):
@@ -349,3 +355,14 @@ class TestContentErrors:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert f"line {self.H_LINE}: mesh width" in err
+
+    def test_mask_without_interior_cell(self, tmp_path, capsys):
+        n = 5
+        rows = [" ".join(["0"] * n)] * n
+        write_lines(tmp_path / "p.txt", [str(n), *rows, "", *rows, "", *rows, "h 0.25"])
+        with pytest.raises(FileFormatError, match="no interior cells") as err:
+            load_problem(tmp_path / "p.txt")
+        assert err.value.line == 2
+        code = main(["solve", "--problem", str(tmp_path / "p.txt"), "--solver", "jacobi"])
+        assert code == EXIT_INVALID
+        assert "line 2: problem has no interior cells" in capsys.readouterr().err

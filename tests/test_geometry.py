@@ -77,12 +77,6 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown geometry"):
             GeometrySpec(kind="hexagon", n=17)
 
-    def test_overlapping_disks_rejected(self):
-        spec = GeometrySpec(kind="cylinders", n=33, seed=0,
-                            disk_centers=((0.3, 0.3), (0.35, 0.35), (0.7, 0.7)))
-        with pytest.raises(ValueError, match="overlap"):
-            generate(spec)
-
 
 class TestRandomGeometry:
     def test_always_valid_problems(self):

@@ -6,9 +6,12 @@ import pytest
 from poisolve.geometry import GeometrySpec, generate, random_geometry
 from poisolve.grid import laplacian_apply, make_problem, relative_error, residual_norms
 from poisolve.iterators import (
+    POST_SMOOTH,
+    PRE_SMOOTH,
+    SMOOTH_OMEGA,
     JacobiIterator,
-    MultigridConfig,
     MultigridIterator,
+    _deepest_depth,
     _interior_residual_field,
     damped_jacobi_step,
     ground_truth,
@@ -19,6 +22,7 @@ from poisolve.iterators import (
     restrict_full_weighting,
     solve_to_tol,
 )
+from poisolve.model import init_model
 
 from conftest import square_problem
 
@@ -60,7 +64,7 @@ class TestAffinity:
 
     @pytest.mark.parametrize("make_iter", [
         lambda: JacobiIterator(),
-        lambda: MultigridIterator(MultigridConfig(depth=2)),
+        lambda: MultigridIterator(2),
     ])
     def test_affine_combination(self, make_iter, p17_poisson):
         it = make_iter()
@@ -73,7 +77,7 @@ class TestAffinity:
 
     @pytest.mark.parametrize("make_iter", [
         lambda: JacobiIterator(),
-        lambda: MultigridIterator(MultigridConfig(depth=2)),
+        lambda: MultigridIterator(2),
     ])
     def test_boundary_exact_after_step(self, make_iter, p17_poisson):
         it = make_iter()
@@ -85,7 +89,7 @@ class TestAffinity:
 class TestMultigrid:
     def test_fixed_point_preserved(self, p17_poisson):
         us = ground_truth(p17_poisson)
-        mg = MultigridIterator(MultigridConfig(depth=2))
+        mg = MultigridIterator(2)
         assert np.abs(mg.step(us, p17_poisson) - us).max() < 1e-12 * max(1, np.abs(us).max())
 
     def test_one_vcycle_beats_eight_jacobi_sweeps(self):
@@ -93,7 +97,7 @@ class TestMultigrid:
         p = square_problem(65, sides=tuple(rng.uniform(-1, 1, 4)))
         us = ground_truth(p)
         u0 = rng.standard_normal((65, 65))
-        mg = MultigridIterator(MultigridConfig(depth=2))
+        mg = MultigridIterator(2)
         e_mg = relative_error(mg.step(u0, p), us)
         uj = u0
         for _ in range(8):
@@ -101,17 +105,34 @@ class TestMultigrid:
         assert e_mg < relative_error(uj, us)
 
     def test_config_validation(self):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            MultigridIterator(0)
         with pytest.raises(ValueError, match="divisible"):
-            MultigridConfig(depth=2).validate(18)
+            MultigridIterator(2).step(np.zeros((18, 18)), square_problem(18))
         with pytest.raises(ValueError, match="coarsest"):
-            MultigridConfig(depth=4).validate(17)
+            MultigridIterator(4).step(np.zeros((17, 17)), square_problem(17))
         with pytest.raises(ValueError):
-            MultigridIterator(MultigridConfig(depth=3)).step(np.zeros((21, 21)),
-                                                             square_problem(21))
+            MultigridIterator(3).step(np.zeros((21, 21)), square_problem(21))
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("n", [9, 17, 18, 21, 33, 65, 257])
+    def test_grid_size_rule_agrees(self, n, depth):
+        """V-cycle validation, ground_truth's depth and U-net compatibility
+        apply one rule: n - 1 divisible by 2^depth, coarsest grid >= 3."""
+        fits = (n - 1) % 2 ** depth == 0 and (n - 1) // 2 ** depth + 1 >= 3
+        try:
+            MultigridIterator(depth).step_cost(square_problem(n))
+            mg_fits = True
+        except ValueError as exc:
+            assert "divisible" in str(exc) or "coarsest" in str(exc)
+            mg_fits = False
+        assert mg_fits == fits
+        assert (_deepest_depth(n) >= depth) == fits
+        assert init_model(f"unet{depth}", seed=0).compatible(n) == fits
 
     def test_vcycle_cost_sums_levels(self, ):
         p = square_problem(17)
-        mg = MultigridIterator(MultigridConfig(depth=2, pre_smooth=2, post_smooth=2))
+        mg = MultigridIterator(2)
         layers, ops = mg.step_cost(p)
         # sweeps: 4 per level over 3 levels; transfers: 2 per descent
         assert layers == 4 * 3 + 2 * 2
@@ -124,7 +145,7 @@ class TestFixedPointProperty:
     def test_stationary_point_solves_system(self, p17_poisson):
         """Any u with step(u) ~= u satisfies the discrete equations."""
         us = ground_truth(p17_poisson)
-        for it in (JacobiIterator(), MultigridIterator(MultigridConfig(depth=2))):
+        for it in (JacobiIterator(), MultigridIterator(2)):
             u = us + 1e-13 * np.ones_like(us)
             assert np.abs(it.step(u, p17_poisson) - u).max() < 1e-10
             interior, boundary = residual_norms(p17_poisson, u)
@@ -219,7 +240,7 @@ class TestGroundTruth:
         rng = np.random.default_rng(7)
         p = square_problem(17, sides=tuple(rng.uniform(-1, 1, 4)))
         u_dense = ground_truth(p)
-        mg = MultigridIterator(MultigridConfig(depth=2))
+        mg = MultigridIterator(2)
         u = reset_start(p)
         for _ in range(200):
             u_next = mg.step(u, p)
@@ -248,20 +269,20 @@ def _ref_residual(u, p):
     return np.where(p.mask == 1, p.f + laplacian_apply(u, p.h), 0.0)
 
 
-def _ref_cycle(cfg, u, p, coarse, level):
+def _ref_cycle(u, p, coarse, level):
     """MultigridIterator._cycle, written with the reference kernels."""
     if level == len(coarse):
-        for _ in range(cfg.pre_smooth + cfg.post_smooth):
-            u = _ref_damped(u, p, cfg.omega)
+        for _ in range(PRE_SMOOTH + POST_SMOOTH):
+            u = _ref_damped(u, p, SMOOTH_OMEGA)
         return u
-    for _ in range(cfg.pre_smooth):
-        u = _ref_damped(u, p, cfg.omega)
+    for _ in range(PRE_SMOOTH):
+        u = _ref_damped(u, p, SMOOTH_OMEGA)
     pc = coarse[level]
     fc = np.where(pc.mask == 1, restrict_full_weighting(_ref_residual(u, p)), 0.0)
-    ec = _ref_cycle(cfg, np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
+    ec = _ref_cycle(np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
     u = u + np.where(p.mask == 1, prolong_bilinear(ec, p.n), 0.0)
-    for _ in range(cfg.post_smooth):
-        u = _ref_damped(u, p, cfg.omega)
+    for _ in range(POST_SMOOTH):
+        u = _ref_damped(u, p, SMOOTH_OMEGA)
     return u
 
 
@@ -357,7 +378,7 @@ class TestFlatStencil:
     def test_vcycle_matches_reference_cycle(self, depth, n, lead):
         rng = np.random.default_rng(9)
         for p in _stencil_problems(n):
-            mg = MultigridIterator(MultigridConfig(depth=depth))
+            mg = MultigridIterator(depth)
             u = rng.standard_normal(lead + (n, n))
-            ref = _ref_cycle(mg.config, u, p, mg._coarse_problems(p), 0)
+            ref = _ref_cycle(u, p, mg._coarse_problems(p), 0)
             assert _same_bits(mg.step(u, p), ref)

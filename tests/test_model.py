@@ -162,7 +162,7 @@ class TestInitAndFiles:
         from poisolve.spectral import linear_part, spectral_radius
 
         phi = PhiIterator(JacobiIterator(), init_model("conv3", seed=3))
-        rho = spectral_radius(linear_part(phi, p17), 17, mode="dense")
+        rho = spectral_radius(linear_part(phi, p17), mode="dense")
         assert rho < 1.0
 
     def test_parse_arch(self):

@@ -69,14 +69,14 @@ class TestLinearPart:
 
     def test_matrix_matches_action(self, p17):
         lp = linear_part(JacobiIterator(), p17)
-        T = materialize_dense(lp, 17)
+        T = materialize_dense(lp)
         rng = np.random.default_rng(1)
         u = rng.standard_normal((17, 17))
         assert np.abs((T @ u.ravel()).reshape(17, 17) - lp.apply(u)).max() < 1e-12
 
     def test_jacobi_stencil_structure(self):
         p = square_problem(5)
-        T = materialize_dense(linear_part(JacobiIterator(), p), 5)
+        T = materialize_dense(linear_part(JacobiIterator(), p))
         n = 5
         for i in range(n):
             for j in range(n):
@@ -92,7 +92,7 @@ class TestLinearPart:
     def test_interior_block_symmetric(self, p17):
         """The update couples interior cells symmetrically; the columns that
         read prescribed cells are the only asymmetric part."""
-        T = materialize_dense(linear_part(JacobiIterator(), p17), 17)
+        T = materialize_dense(linear_part(JacobiIterator(), p17))
         idx = np.flatnonzero(p17.mask.ravel())
         block = T[np.ix_(idx, idx)]
         assert np.abs(block - block.T).max() <= 1e-12
@@ -102,36 +102,36 @@ class TestLinearPart:
         p = square_problem(65)
         lp = linear_part(JacobiIterator(), p)
         with pytest.raises(ValueError, match="power"):
-            materialize_dense(lp, 65)
+            materialize_dense(lp)
 
 
 class TestSpectralRadius:
     def test_jacobi_square_closed_form(self, p17):
-        rho = spectral_radius(linear_part(JacobiIterator(), p17), 17, mode="dense")
+        rho = spectral_radius(linear_part(JacobiIterator(), p17), mode="dense")
         assert abs(rho - math.cos(math.pi / 16)) < 1e-9
 
     def test_closed_form_other_sizes(self):
         for n in (9, 33):
             p = square_problem(n)
-            rho = spectral_radius(linear_part(JacobiIterator(), p), n, mode="dense")
+            rho = spectral_radius(linear_part(JacobiIterator(), p), mode="dense")
             assert abs(rho - math.cos(math.pi / (n - 1))) < 1e-9
 
     def test_zero_iterator(self, p17):
         lp = linear_part(_ZeroIterator(), p17)
-        assert spectral_radius(lp, 17, mode="dense") == 0.0
-        assert spectral_radius(lp, 17, mode="power") == 0.0
+        assert spectral_radius(lp, mode="dense") == 0.0
+        assert spectral_radius(lp, mode="power") == 0.0
 
     def test_power_matches_dense(self, p17):
         lp = linear_part(JacobiIterator(), p17)
-        dense = spectral_radius(lp, 17, mode="dense")
-        power = spectral_radius(lp, 17, mode="power")
+        dense = spectral_radius(lp, mode="dense")
+        power = spectral_radius(lp, mode="power")
         assert abs(dense - power) <= 1e-3
 
     def test_power_matches_dense_on_wrapped_model(self, p17):
         phi = PhiIterator(JacobiIterator(), quarter_cross_model())
         lp = linear_part(phi, p17)
-        dense = spectral_radius(lp, 17, mode="dense")
-        power = spectral_radius(lp, 17, mode="power")
+        dense = spectral_radius(lp, mode="dense")
+        power = spectral_radius(lp, mode="power")
         assert abs(dense - power) <= 1e-3
 
 
@@ -139,14 +139,14 @@ class TestSpectralNorm:
     def test_norm_at_least_radius_random_masked_convs(self, p17):
         for seed in range(50):
             lp = linear_part(_MaskedConvIterator(seed), p17)
-            T = materialize_dense(lp, 17)
+            T = materialize_dense(lp)
             rho = float(np.abs(np.linalg.eigvals(T)).max())
             norm = float(np.linalg.svd(T, compute_uv=False)[0])
             assert norm >= rho - 1e-10
 
     def test_interior_block_norm_equals_radius(self, p17):
         """On the symmetric interior block the two quantities coincide."""
-        T = materialize_dense(linear_part(JacobiIterator(), p17), 17)
+        T = materialize_dense(linear_part(JacobiIterator(), p17))
         idx = np.flatnonzero(p17.mask.ravel())
         block = T[np.ix_(idx, idx)]
         rho = float(np.abs(np.linalg.eigvals(block)).max())
@@ -163,7 +163,7 @@ class TestSpectralNorm:
             def step_cost(self, p):
                 return 0, 0
 
-        assert abs(spectral_norm(linear_part(_TwoX(), p17), 17) - 2.0) < 1e-12
+        assert abs(spectral_norm(linear_part(_TwoX(), p17)) - 2.0) < 1e-12
 
 
 class TestOracle:
@@ -199,7 +199,7 @@ class TestOracle:
 class TestConvexity:
     def test_random_probes_hold(self):
         p = square_problem(9)
-        T = materialize_dense(linear_part(JacobiIterator(), p), 9)
+        T = materialize_dense(linear_part(JacobiIterator(), p))
         G = mask_matrix(p)
         rng = np.random.default_rng(4)
         for _ in range(40):
@@ -209,7 +209,7 @@ class TestConvexity:
 
     def test_equal_arguments_give_equality(self):
         p = square_problem(9)
-        T = materialize_dense(linear_part(JacobiIterator(), p), 9)
+        T = materialize_dense(linear_part(JacobiIterator(), p))
         G = mask_matrix(p)
         H = np.random.default_rng(5).standard_normal((81, 81))
         rep = convexity_probe(T, G, H, H, 0.3)
@@ -217,7 +217,7 @@ class TestConvexity:
 
     def test_endpoints(self):
         p = square_problem(9)
-        T = materialize_dense(linear_part(JacobiIterator(), p), 9)
+        T = materialize_dense(linear_part(JacobiIterator(), p))
         G = mask_matrix(p)
         rng = np.random.default_rng(6)
         H1, H2 = rng.standard_normal((2, 81, 81))
@@ -230,8 +230,8 @@ class TestConvexity:
         formula applied to the base T and the dense single-layer H."""
         m = quarter_cross_model()
         phi = PhiIterator(JacobiIterator(), m)
-        T_phi = materialize_dense(linear_part(phi, p17), 17)
-        T = materialize_dense(linear_part(JacobiIterator(), p17), 17)
+        T_phi = materialize_dense(linear_part(phi, p17))
+        T = materialize_dense(linear_part(JacobiIterator(), p17))
         # dense matrix of the quarter-cross conv (no mask)
         H = np.zeros((289, 289))
         e = np.zeros((17, 17))
@@ -284,7 +284,7 @@ class TestCertify:
 
     def test_wrapping_with_cross_kernel_squares_the_radius(self):
         p = square_problem(9)
-        rho = spectral_radius(linear_part(JacobiIterator(), p), 9, mode="dense")
+        rho = spectral_radius(linear_part(JacobiIterator(), p), mode="dense")
         phi = PhiIterator(JacobiIterator(), quarter_cross_model())
-        rho2 = spectral_radius(linear_part(phi, p), 9, mode="dense")
+        rho2 = spectral_radius(linear_part(phi, p), mode="dense")
         assert abs(rho2 - rho ** 2) <= 1e-6
