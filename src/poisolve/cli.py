@@ -1,7 +1,10 @@
 """Command-line surface: gen | train | solve | spectral | bench.
 
 Exit codes: 0 success, 2 validation failure (bad inputs, invariant
-violations, uncertified models), 3 non-convergence.
+violations, uncertified models), 3 non-convergence: a solve that misses
+its tolerance, a reference solution that cannot be computed
+(iterators.ReferenceSolveError) or a training run that diverges
+(training.TrainingError). Every error is printed as ``error: ...``.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ import numpy as np
 
 from . import bench as bench_mod
 from .geometry import SETTINGS, GeometrySpec, generate
-from .grid import FileFormatError, load_problem, residual_norms, save_field, save_problem
+from .grid import FileFormatError, load_problem, save_field, save_problem
 from .iterators import (
     Iterator,
     JacobiIterator,
     MultigridIterator,
-    reset_start,
+    ReferenceSolveError,
     solve_to_tol,
 )
 from .model import PhiIterator, load_model, parse_arch, save_model
 from .spectral import DENSE_MAX_N, certify, linear_part, spectral_norm
-from .training import default_config, train, write_log
+from .training import TrainingError, default_config, train, write_log
 
 SOLVER_NAMES = ("jacobi", "mg2", "mg3", "conv1", "conv2", "conv3", "conv4",
                 "unet2", "unet3")
@@ -205,6 +208,9 @@ def main(argv=None) -> int:
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (ReferenceSolveError, TrainingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

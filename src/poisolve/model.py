@@ -29,7 +29,7 @@ from .conv import (
     transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
-from .grid import Field, FileFormatError, Problem, _floats, _write_rows
+from .grid import Field, FileFormatError, _floats, _write_rows
 from .iterators import Iterator, depth_fault
 
 

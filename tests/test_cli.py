@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poisolve import cli, spectral
 from poisolve.cli import build_parser, main
+from poisolve.iterators import ReferenceSolveError
 from poisolve.model import save_model, zero_model
-from poisolve.training import default_config, train
+from poisolve.training import TrainingError, default_config, train
 
 
 def run(capsys, *argv):
@@ -65,6 +67,21 @@ class TestSpectral:
         code, _, err = run(capsys, "spectral", "--solver", "conv3", "--n", "17")
         assert code == 2 and "model" in err
 
+    def test_even_grid_above_dense_size(self, capsys):
+        """n = 100 admits no coarsening; its reference still converges."""
+        code, out, _ = run(capsys, "spectral", "--solver", "jacobi", "--n", "100")
+        assert code == 0
+        assert out.strip().splitlines()[1].endswith(",1")
+
+    def test_failing_reference_exits_3(self, monkeypatch, capsys):
+        def fail(p):
+            raise ReferenceSolveError("ground truth residual check failed")
+
+        monkeypatch.setattr(spectral, "ground_truth", fail)
+        code, _, err = run(capsys, "spectral", "--solver", "jacobi", "--n", "17")
+        assert code == 3
+        assert err.startswith("error: ground truth residual check failed")
+
 
 class TestTrainBench:
     def test_train_writes_model_and_log(self, tmp_path, capsys):
@@ -76,6 +93,16 @@ class TestTrainBench:
         assert code == 0
         assert model_path.exists()
         assert log_path.read_text().startswith("step,loss,")
+
+    def test_diverged_training_exits_3(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise TrainingError("training diverged (loss = 1.000e+07)", step=3)
+
+        monkeypatch.setattr(cli, "train", fail)
+        code, _, err = run(capsys, "train", "--arch", "conv2", "--out",
+                           str(tmp_path / "m.model"))
+        assert code == 3
+        assert err.startswith("error: step 3: training diverged")
 
     def test_bench_without_model_exits_2(self, capsys):
         code, _, err = run(capsys, "bench")

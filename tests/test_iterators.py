@@ -3,17 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poisolve.geometry import GeometrySpec, generate, random_geometry
+from poisolve import iterators
+from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.grid import laplacian_apply, make_problem, relative_error, residual_norms
 from poisolve.iterators import (
     POST_SMOOTH,
     PRE_SMOOTH,
+    REFERENCE_TOL,
     SMOOTH_OMEGA,
     JacobiIterator,
     MultigridIterator,
+    ReferenceSolveError,
     _deepest_depth,
     _interior_residual_field,
+    _preconditioner,
     damped_jacobi_step,
+    dense_system,
     ground_truth,
     jacobi_step,
     neighbor_mean,
@@ -249,6 +254,67 @@ class TestGroundTruth:
                 break
             u = u_next
         assert np.abs(u - u_dense).max() <= 1e-8
+
+
+def _gate(p, u):
+    interior, boundary = residual_norms(p, u)
+    return interior <= REFERENCE_TOL and boundary <= REFERENCE_TOL
+
+
+class TestReferenceCG:
+    """ground_truth above n = 32: V-cycle-preconditioned CG."""
+
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_matches_dense_oracle(self, kind):
+        p = generate(GeometrySpec(kind=kind, n=33, seed=0))
+        oracle = np.linalg.solve(*dense_system(p)).reshape(33, 33)
+        assert np.abs(ground_truth(p) - oracle).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [65, 257])
+    def test_lshape_meets_gate(self, n):
+        """The deepest V-cycle alone diverges here; as a preconditioner it does not."""
+        p = generate(GeometrySpec(kind="lshape", n=n, seed=0))
+        assert _gate(p, ground_truth(p))
+
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_even_grid_meets_gate(self, kind):
+        """n - 1 = 99 admits no coarsening: CG with Jacobi scaling."""
+        assert _deepest_depth(100) == 0
+        p = generate(GeometrySpec(kind=kind, n=100, seed=0))
+        assert _gate(p, ground_truth(p))
+
+    def test_random_masks_meet_gate(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            p = random_geometry(65, rng)
+            assert _gate(p, ground_truth(p))
+
+    def test_preconditioner_is_symmetric_positive(self):
+        p = generate(GeometrySpec(kind="lshape", n=65, seed=0))
+        precondition = _preconditioner(p)
+        rng = np.random.default_rng(12)
+        r1, r2 = np.where(p.mask == 1, rng.standard_normal((2, 65, 65)), 0.0)
+        a, b = np.vdot(r1, precondition(r2)), np.vdot(r2, precondition(r1))
+        assert abs(a - b) <= 1e-12 * abs(a)
+        assert np.vdot(r1, precondition(r1)) > 0
+
+    def test_indefinite_preconditioner_raises(self, monkeypatch):
+        monkeypatch.setattr(iterators, "_preconditioner", lambda p: lambda r: -r)
+        p = generate(GeometrySpec(kind="square", n=65, seed=0))
+        with pytest.raises(ReferenceSolveError, match="not positive definite"):
+            ground_truth(p)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(iterators, "PCG_MAX_ITERATIONS_PER_N", 0)
+        p = generate(GeometrySpec(kind="square", n=65, seed=0))
+        with pytest.raises(ReferenceSolveError, match="did not reach"):
+            ground_truth(p)
+
+    def test_gate_raises_after_restarts(self, monkeypatch):
+        monkeypatch.setattr(iterators, "REFERENCE_RESTARTS", 0)
+        p = generate(GeometrySpec(kind="square", n=65, seed=0))
+        with pytest.raises(ReferenceSolveError, match="residual check failed"):
+            ground_truth(p)
 
 
 # ------------------------------------------------------------------
