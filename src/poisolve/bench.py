@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SETTINGS, GeometrySpec, generate, square_problem
-from .grid import Problem, residual_norms
+from .grid import Problem, reset, residual_norms
 from .iterators import (
     Iterator,
     JacobiIterator,
@@ -102,7 +102,7 @@ def run_benchmark(
         p = generate(GeometrySpec(kind=setting, n=n, seed=seed))
         u_star = ground_truth(p)
         rng = np.random.default_rng(seed + 1)
-        u0 = np.where(p.mask == 1, rng.standard_normal((n, n)), p.b)
+        u0 = reset(rng.standard_normal((n, n)), p)
         ub, rb = solve_to_tol(base, p, u0, threshold, MAX_STEPS, u_star=u_star)
         um, rm = solve_to_tol(phi, p, u0, threshold, MAX_STEPS, u_star=u_star)
         both = rb.converged and rm.converged

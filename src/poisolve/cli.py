@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .geometry import SETTINGS, GeometrySpec, generate
-from .grid import FileFormatError, load_problem, save_field, save_problem
+from .grid import FileFormatError, load_problem, reset, save_field, save_problem
 from .iterators import (
     Iterator,
     JacobiIterator,
@@ -78,7 +78,7 @@ def cmd_solve(args) -> int:
     p = load_problem(args.problem)
     it = _build_solver(args.solver, args.model)
     rng = np.random.default_rng(args.seed)
-    u0 = np.where(p.mask == 1, rng.standard_normal((p.n, p.n)), p.b)
+    u0 = reset(rng.standard_normal((p.n, p.n)), p)
     u, report = solve_to_tol(it, p, u0, args.tol, args.max_steps)
     print("iterations,conv_layers,mul_adds,final_relative_error,converged")
     print(f"{report.iterations},{report.conv_layers},{report.mul_adds},"

@@ -12,9 +12,11 @@ and the loss sums the squared final errors; T_H is the operator that
 :func:`poisolve.spectral.certify` measures. The unroll retires each sample
 at its own k: step t advances only the samples still short of their k.
 Gradients are computed by an explicit reverse pass over the unrolled
-steps, which takes each sample in at its own k: the adjoint of the sweep
-is :func:`poisolve.iterators.jacobi_step_adjoint` and the adjoint of the
-correction net is the tape walk in :mod:`poisolve.model`.
+steps, which takes each sample in at its own k: the sweep's linear part
+is self-adjoint on interior cells, so its adjoint is the sweep itself
+(:func:`poisolve.iterators.jacobi_step` on the homogeneous problem) after
+masking, and the adjoint of the correction net is the tape walk in
+:mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
 usable with any base at inference time.
@@ -29,10 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import square_problem
-from .grid import Field, Problem
-from .iterators import JacobiIterator, ground_truth, jacobi_step_adjoint
+from .grid import Field, Problem, reset
+from .iterators import JacobiIterator, ground_truth, jacobi_step
 from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
-from .spectral import homogeneous, linear_part, radius_mode, spectral_radius
+from .spectral import (
+    RHO_VALID_MARGIN,
+    homogeneous,
+    linear_part,
+    radius_mode,
+    spectral_radius,
+)
 
 
 class TrainingError(RuntimeError):
@@ -124,7 +132,7 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
     for _ in range(cfg.batch):
         p = sample_square_problem(cfg.n, rng)
         u_star = cache.solution(p)
-        u0 = np.where(p.mask == 1, rng.standard_normal((cfg.n, cfg.n)), p.b)
+        u0 = reset(rng.standard_normal((cfg.n, cfg.n)), p)
         k = int(rng.integers(1, cfg.k_max + 1))
         batch.append(TrainSample(problem=p, u_star=u_star, u0=u0, k=k))
     return batch
@@ -198,7 +206,11 @@ def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
             if live[t] > len(g):  # samples whose k = t enter the adjoint here
                 g = np.concatenate([g, scale * retired[t - 1]])
             gw = backward(model, tapes[t - 1], np.where(p.mask == 1, g, 0.0), grads)
-            g = jacobi_step_adjoint(g + gw, p) - gw
+            # the sweep's linear part u -> M (N+S+W+E)/4 has the adjoint
+            # g -> (N+S+W+E)/4 of M g; a sweep of M g is that, op for op, at
+            # interior cells and 0 elsewhere, where g is never read: backward
+            # gets M g, and the next step masks g + gw again
+            g = jacobi_step(np.where(p.mask == 1, g + gw, 0.0), p) - gw
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite adjoint at unroll step {t}")
     if not all(np.isfinite(gr).all() for gr in grads):
@@ -282,7 +294,7 @@ def train(cfg: TrainConfig, log_path=None):
         final_rho = log[-1].rho_estimate
         if final_rho is None:
             final_rho = _train_rho(model, geometry)
-        if final_rho >= 1.0:
+        if not final_rho <= 1.0 - RHO_VALID_MARGIN:  # certify's rule
             raise TrainingError(
                 f"trained iterator is not contractive (rho = {final_rho:.6f})",
                 step=cfg.steps, log=log)

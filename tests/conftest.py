@@ -14,6 +14,24 @@ def square_problem(n, sides=(0.3, -0.2, 0.8, 0.1), f=None):
     return make_problem(mask, b, np.zeros((n, n)) if f is None else f)
 
 
+def neighbor_mean(u):
+    """Reference: quarter of the 4-neighbour sum at every cell, zero-padded."""
+    up = np.zeros(u.shape[:-2] + (u.shape[-2] + 2, u.shape[-1] + 2))
+    up[..., 1:-1, 1:-1] = u
+    return 0.25 * (up[..., :-2, 1:-1] + up[..., 2:, 1:-1]
+                   + up[..., 1:-1, :-2] + up[..., 1:-1, 2:])
+
+
+def padded_laplacian(u, h):
+    """Reference: the 5-point Laplacian by padded slices, zero on the frame."""
+    out = np.zeros_like(u)
+    out[..., 1:-1, 1:-1] = (
+        u[..., :-2, 1:-1] + u[..., 2:, 1:-1] + u[..., 1:-1, :-2] + u[..., 1:-1, 2:]
+        - 4.0 * u[..., 1:-1, 1:-1]
+    ) / (h * h)
+    return out
+
+
 @pytest.fixture
 def p17():
     return square_problem(17)

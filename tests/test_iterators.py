@@ -5,7 +5,13 @@ import pytest
 
 from poisolve import iterators
 from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
-from poisolve.grid import laplacian_apply, make_problem, relative_error, residual_norms
+from poisolve.grid import (
+    laplacian_apply,
+    make_problem,
+    relative_error,
+    reset,
+    residual_norms,
+)
 from poisolve.iterators import (
     POST_SMOOTH,
     PRE_SMOOTH,
@@ -21,15 +27,13 @@ from poisolve.iterators import (
     dense_system,
     ground_truth,
     jacobi_step,
-    neighbor_mean,
     prolong_bilinear,
-    reset_start,
     restrict_full_weighting,
     solve_to_tol,
 )
 from poisolve.model import init_model
 
-from conftest import square_problem
+from conftest import neighbor_mean, padded_laplacian, square_problem
 
 
 class TestJacobiStep:
@@ -192,7 +196,7 @@ class TestSolveToTol:
         assert not rep.converged and rep.iterations == 0
 
     def test_residual_stopping_without_reference(self, p17_poisson):
-        u0 = reset_start(p17_poisson)
+        u0 = reset(np.zeros((17, 17)), p17_poisson)
         u, rep = solve_to_tol(JacobiIterator(), p17_poisson, u0, 1e-3, 100000)
         assert rep.converged
         initial = residual_norms(p17_poisson, u0)[0]
@@ -212,7 +216,7 @@ class TestSolveToTol:
 
     def test_reference_shape_mismatch_rejected(self, p17):
         with pytest.raises(ValueError, match="shape mismatch"):
-            solve_to_tol(JacobiIterator(), p17, reset_start(p17), 1e-2, 10,
+            solve_to_tol(JacobiIterator(), p17, np.zeros((17, 17)), 1e-2, 10,
                          u_star=np.zeros((9, 9)))
 
     def test_cost_accumulation(self, p17):
@@ -246,7 +250,7 @@ class TestGroundTruth:
         p = square_problem(17, sides=tuple(rng.uniform(-1, 1, 4)))
         u_dense = ground_truth(p)
         mg = MultigridIterator(2)
-        u = reset_start(p)
+        u = reset(np.zeros((17, 17)), p)
         for _ in range(200):
             u_next = mg.step(u, p)
             if np.abs(u_next - u).max() <= 1e-12:
@@ -310,6 +314,18 @@ class TestReferenceCG:
         with pytest.raises(ReferenceSolveError, match="did not reach"):
             ground_truth(p)
 
+    def test_large_source_meets_rounding_floor(self):
+        """f x 1000: rounding in f - A u alone exceeds 1e-8, however exact u is."""
+        p = generate(GeometrySpec(kind="square_poisson", n=65, seed=0))
+        big = replace(p, f=1000.0 * p.f)
+        u = ground_truth(big)
+        interior = residual_norms(big, u)[0]
+        scale = np.abs(big.f).max() + 8 * np.abs(u).max() / big.h ** 2
+        assert REFERENCE_TOL < interior <= 4 * np.finfo(np.float64).eps * scale
+        # u is linear in (b, f)
+        ref = ground_truth(p) + 999.0 * ground_truth(replace(p, b=np.zeros((65, 65))))
+        assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_gate_raises_after_restarts(self, monkeypatch):
         monkeypatch.setattr(iterators, "REFERENCE_RESTARTS", 0)
         p = generate(GeometrySpec(kind="square", n=65, seed=0))
@@ -332,7 +348,7 @@ def _ref_damped(u, p, omega):
 
 
 def _ref_residual(u, p):
-    return np.where(p.mask == 1, p.f + laplacian_apply(u, p.h), 0.0)
+    return np.where(p.mask == 1, p.f + padded_laplacian(u, p.h), 0.0)
 
 
 def _ref_cycle(u, p, coarse, level):
@@ -384,6 +400,8 @@ KERNELS = {
     "damped_half": (lambda u, p: damped_jacobi_step(u, p, 0.5),
                     lambda u, p: _ref_damped(u, p, 0.5)),
     "residual": (_interior_residual_field, _ref_residual),
+    "laplacian": (lambda u, p: laplacian_apply(u, p.h),
+                  lambda u, p: padded_laplacian(u, p.h)),
 }
 
 

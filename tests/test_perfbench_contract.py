@@ -3,13 +3,17 @@
 perfbench only finds a missing name at run time: a traced function as an
 AttributeError under --trace 1, a called one when its round gets there.
 These tests read perfbench's sources (loading tracing.py by path, parsing
-the rest) and never modify them.
+the rest) and never modify them. The last one runs perfbench's own
+self-test, so that a change that makes a benchmark check reject correct
+output fails here first.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -81,3 +85,10 @@ def test_bound_names_exist_and_calls_bind():
         except TypeError as exc:
             broken.append(f"{source}:{call.lineno}: {mod}.{attr}: {exc}")
     assert not broken, "\n".join(broken)
+
+
+def test_benchmark_selftest_passes():
+    # writes only perfbench/out/, which is ignored by git
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from poisolve.grid import make_problem
+from poisolve.grid import make_problem, reset
 from poisolve.geometry import random_geometry
-from poisolve.iterators import JacobiIterator, ground_truth, solve_to_tol
-from poisolve.model import PhiIterator, init_model, quarter_cross_model, scale_model
+from poisolve.iterators import JacobiIterator, ground_truth, jacobi_step, solve_to_tol
+from poisolve.model import (
+    PhiIterator,
+    apply_H,
+    init_model,
+    quarter_cross_model,
+    scale_model,
+)
 from poisolve.spectral import (
+    FIXED_POINT_TOL,
+    LinearPart,
     asymmetry,
     certify,
     convexity_probe,
@@ -288,3 +296,37 @@ class TestCertify:
         phi = PhiIterator(JacobiIterator(), quarter_cross_model())
         rho2 = spectral_radius(linear_part(phi, p), mode="dense")
         assert abs(rho2 - rho ** 2) <= 1e-6
+
+
+class TestGuaranteeOverRandomWeights:
+    """The guarantee as a property: random masks at n = 17, random weights at
+    init scale and with every kernel x100."""
+
+    @pytest.mark.parametrize("arch", ["conv3", "unet2"])
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_fixed_point_kept_and_certificate_matches_convergence(self, arch, scale):
+        rng = np.random.default_rng(21)
+        for seed in range(8):
+            p = random_geometry(17, rng)
+            m = scale_model(init_model(arch, seed=seed), scale)
+            phi = PhiIterator(JacobiIterator(), m)
+            us = ground_truth(p)
+            # Phi(u*) - u* = d + M H d with d = psi(u*) - u*, the base step's
+            # rounding: zero in exact arithmetic for any weights, but M H
+            # amplifies d by up to its max row sum, about 1e16 for unet2
+            # x100, whose drift then exceeds FIXED_POINT_TOL; certify must
+            # refuse it
+            d = np.abs(jacobi_step(us, p) - us).max()
+            MH = materialize_dense(LinearPart(
+                lambda w: np.where(p.mask == 1, apply_H(m, w), 0.0), p.n))
+            gain = np.abs(MH).sum(axis=1).max()
+            drift = np.abs(phi.step(us, p) - us).max()
+            assert drift <= 2.0 * (1.0 + gain) * d
+            assert drift <= FIXED_POINT_TOL or (arch, scale) == ("unet2", 100.0)
+            v = certify(phi, p)
+            assert drift <= FIXED_POINT_TOL or not v.valid
+            if abs(v.rho_estimate - 1.0) < 1e-3:
+                continue
+            u0 = reset(rng.standard_normal((17, 17)), p)
+            _, rep = solve_to_tol(phi, p, u0, 1e-2, 5000, u_star=us)
+            assert rep.converged == v.valid

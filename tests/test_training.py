@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from poisolve import training
+from poisolve.geometry import random_geometry
 from poisolve.grid import make_problem, residual_norms
-from poisolve.iterators import jacobi_step, neighbor_mean
+from poisolve.iterators import jacobi_step
 from poisolve.model import (
     apply_H,
     backward,
@@ -14,6 +16,7 @@ from poisolve.model import (
     scale_model,
     zero_model,
 )
+from poisolve.spectral import homogeneous
 from poisolve.training import (
     SquareSolutionCache,
     TrainConfig,
@@ -28,6 +31,8 @@ from poisolve.training import (
     square_problem,
     train,
 )
+
+from conftest import neighbor_mean
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +226,21 @@ def _full_batch_unroll(model, batch, error_form=True):
     return value, grads
 
 
+class TestAdjointSweep:
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_interior_matches_padded_adjoint(self, n):
+        """loss_and_grad's adjoint, a sweep of the masked g on the homogeneous
+        problem, is M neighbor_mean(M g) bit for bit at interior cells."""
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            p = homogeneous(random_geometry(n, rng))
+            g = np.where(p.mask == 1, rng.standard_normal((3, 1, n, n)), 0.0)
+            out, ref = jacobi_step(g, p), neighbor_mean(g)
+            inside = np.broadcast_to(p.mask == 1, g.shape)
+            assert np.array_equal(out[inside].view(np.int64), ref[inside].view(np.int64))
+            assert np.all(out[~inside] == 0.0)
+
+
 class TestRetiringUnroll:
     @pytest.mark.parametrize("arch", ["conv3", "unet2"])
     @pytest.mark.parametrize("ks", [[5] * 8, [3, 8, 1, 6, 2, 7, 4, 5], [1] * 8],
@@ -337,6 +357,12 @@ class TestTrainLoop:
         cfg = default_config("conv3", steps=400, lr=30.0, seed=0, rho_every=0)
         with pytest.raises(TrainingError):
             train(cfg)
+
+    def test_rho_inside_certify_margin_rejected(self, monkeypatch):
+        # certify, and so bench, refuses rho > 1 - RHO_VALID_MARGIN (1e-6)
+        monkeypatch.setattr(training, "_train_rho", lambda model, p: 1.0 - 1e-7)
+        with pytest.raises(TrainingError, match="not contractive"):
+            train(default_config("conv3", steps=1, rho_every=0))
 
     def test_log_csv_format(self, tmp_path):
         cfg = default_config("conv3", steps=10, seed=2, rho_every=5)
