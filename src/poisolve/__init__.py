@@ -3,9 +3,12 @@
 Classical Jacobi and multigrid baselines are wrapped with a trained linear
 convolutional correction of their own update. The wrapping preserves the
 baseline's fixed point for every choice of weights, so a converged answer
-is always correct; training only buys speed. The spectral module turns
-that guarantee into executable certification, and the bench module
-reproduces cost-ratio comparisons against the classical baselines.
+is always correct; training only buys speed. That holds exactly in exact
+arithmetic; in float64 the fixed point holds to rounding times the gain
+of the masked correction, and certification refuses a model whose gain
+breaks it. The spectral module turns that guarantee into executable
+certification, and the bench module reproduces cost-ratio comparisons
+against the classical baselines.
 """
 
 from .grid import (
@@ -47,10 +50,8 @@ from .spectral import (
     LinearPart,
     ValidityVerdict,
     certify,
-    convexity_probe,
     linear_part,
     materialize_dense,
-    oracle_correction,
     spectral_norm,
     spectral_radius,
 )
@@ -58,7 +59,6 @@ from .training import (
     TrainConfig,
     TrainSample,
     default_config,
-    grad,
     loss,
     sample_square_problem,
     train,

@@ -92,7 +92,7 @@ def cmd_spectral(args) -> int:
     kind = _geometry_kind(args.kind)
     p = generate(GeometrySpec(kind=kind, n=args.n, seed=args.seed))
     it = _build_solver(args.solver, args.model)
-    v = certify(it, p, mode=args.mode)
+    v = certify(it, p)
     norm_s = ""
     if args.n <= DENSE_MAX_N:
         norm_s = format(spectral_norm(linear_part(it, p)), ".6g")
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     spectral.add_argument("--solver", required=True, choices=SOLVER_NAMES)
     spectral.add_argument("--model", default=None)
     spectral.add_argument("--n", type=int, default=17)
-    spectral.add_argument("--mode", choices=["dense", "power"], default=None)
     spectral.add_argument("--kind", default="square", choices=KINDS)
     spectral.add_argument("--seed", type=int, default=0)
     spectral.set_defaults(func=cmd_spectral)

@@ -1,8 +1,9 @@
 """Linear correction operators and the wrapped iterator built on them.
 
-Two architectures, both bias-free and purely linear so that H(0) = 0:
+Two architectures, both single-channel (every kernel one 3x3 array),
+bias-free and purely linear so that H(0) = 0:
 
-  * conv-d:  d plain 3x3 layers, single channel.
+  * conv-d:  d plain 3x3 layers.
   * unet-k:  a V-shaped net with k stride-2 downsampling convs, a stack of
     convs at the coarsest resolution (cheap there, and that is where the
     smooth error lives), k stride-2 transposed-conv upsamplings with
@@ -11,12 +12,15 @@ Two architectures, both bias-free and purely linear so that H(0) = 0:
 The wrapped iterator applies the base solver, feeds its update through the
 correction net, masks the correction to interior cells, and adds it on.
 Any fixed point of the base is therefore a fixed point of the wrapped
-iterator regardless of the weights.
+iterator regardless of the weights, exactly so in exact arithmetic. In
+float64 the base step leaves a rounding residue d at its fixed point, and
+the wrapper adds M H d on top, so the fixed point holds to rounding times
+the gain of M H; spectral.certify checks it against FIXED_POINT_TOL and
+refuses a model whose gain breaks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,35 +39,40 @@ from .iterators import Iterator, depth_fault
 
 @dataclass
 class ConvLayer:
-    in_ch: int
-    out_ch: int
     stride: int
     transposed: bool
-    weights: np.ndarray  # (in_ch, out_ch, 3, 3)
+    # one 3x3 kernel, kept with unit in and out axes as (1, 1, 3, 3), the
+    # layout of a gradient that perfbench's self-test indexes [0, 0, i, j];
+    # the convs take the (3, 3) view weights[0, 0]
+    weights: np.ndarray
 
 
 @dataclass
 class CorrectionModel:
     arch: str  # "conv" | "unet"
     depth: int
-    channels: int
     layers: list[ConvLayer] = field(default_factory=list)
 
     @property
     def layer_count(self) -> int:
         return len(self.layers)
 
+    def _fault(self, n: int) -> str | None:
+        """Why an n x n grid does not fit the net, or None if it does.
+
+        A U-Net coarsens depth times, a conv stack not at all, so both
+        follow the multigrid rule at their number of coarsenings.
+        """
+        return depth_fault(n, self.depth if self.arch == "unet" else 0)
+
     def compatible(self, n: int) -> bool:
-        if self.arch == "conv":
-            return n >= 3
-        return depth_fault(n, self.depth) is None
+        return self._fault(n) is None
 
     def check_compatible(self, n: int) -> None:
-        if not self.compatible(n):
+        fault = self._fault(n)
+        if fault is not None:
             raise ValueError(
-                f"grid size {n} incompatible with {self.arch}{self.depth} "
-                f"(need n-1 divisible by {2 ** self.depth})"
-            )
+                f"grid size {n} incompatible with {self.arch}{self.depth}: {fault}")
 
 
 def parse_arch(name: str) -> tuple[str, int]:
@@ -76,44 +85,30 @@ def parse_arch(name: str) -> tuple[str, int]:
     raise ValueError(f"unknown architecture {name!r} (expected convN or unetN)")
 
 
-def _layer_shapes(arch: str, depth: int, channels: int,
-                  bottom_layers: int) -> list[tuple[int, int, int, bool]]:
+UNET_BOTTOM_LAYERS = 10  # stride-1 convs at a U-Net's coarsest resolution
+
+
+def _layer_plan(arch: str, depth: int) -> list[tuple[int, bool]]:
+    """(stride, transposed) of every layer of arch at depth, in order."""
     if arch == "conv":
-        return [(1, 1, 1, False)] * depth
-    c = channels
-    shapes: list[tuple[int, int, int, bool]] = [(1, c, 1, False)]
-    shapes += [(c, c, 2, False)] * depth
-    shapes += [(c, c, 1, False)] * bottom_layers
-    for level in range(depth):
-        shapes.append((c, c, 2, True))  # upsample, then add the skip branch
-        out_ch = 1 if level == depth - 1 else c
-        shapes.append((c, out_ch, 1, False))
-    return shapes
+        return [(1, False)] * depth
+    down = [(1, False)] + [(2, False)] * depth + [(1, False)] * UNET_BOTTOM_LAYERS
+    # upsample, add the skip branch, then a conv at that resolution
+    return down + [(2, True), (1, False)] * depth
 
 
-DEFAULT_UNET_CHANNELS = 1
-DEFAULT_UNET_BOTTOM = 10
-
-
-def init_model(arch: str, seed: int, channels: int | None = None,
-               bottom_layers: int | None = None) -> CorrectionModel:
-    """Fresh model with kernels ~ N(0, (0.1/sqrt(fan_in))^2), fan_in = 9*in_ch."""
+def init_model(arch: str, seed: int) -> CorrectionModel:
+    """Fresh model with kernels ~ N(0, (0.1/3)^2), 0.1/sqrt(fan_in) for fan_in = 9."""
     kind, depth = parse_arch(arch)
-    c = channels if channels is not None else (1 if kind == "conv" else DEFAULT_UNET_CHANNELS)
-    nb = bottom_layers if bottom_layers is not None else DEFAULT_UNET_BOTTOM
     rng = np.random.default_rng(seed)
-    layers = []
-    for ci, co, stride, transposed in _layer_shapes(kind, depth, c, nb):
-        std = 0.1 / math.sqrt(9 * ci)
-        layers.append(ConvLayer(ci, co, stride, transposed,
-                                rng.normal(0.0, std, size=(ci, co, 3, 3))))
-    return CorrectionModel(kind, depth, c, layers)
+    layers = [ConvLayer(stride, transposed, rng.normal(0.0, 0.1 / 3.0, size=(1, 1, 3, 3)))
+              for stride, transposed in _layer_plan(kind, depth)]
+    return CorrectionModel(kind, depth, layers)
 
 
-def zero_model(arch: str, channels: int | None = None,
-               bottom_layers: int | None = None) -> CorrectionModel:
+def zero_model(arch: str) -> CorrectionModel:
     """The H = 0 model: same structure, all kernels zero."""
-    m = init_model(arch, seed=0, channels=channels, bottom_layers=bottom_layers)
+    m = init_model(arch, seed=0)
     for layer in m.layers:
         layer.weights = np.zeros_like(layer.weights)
     return m
@@ -124,14 +119,13 @@ def quarter_cross_model() -> CorrectionModel:
     a Jacobi sweep. Wrapping Jacobi with this model reproduces two sweeps."""
     k = np.zeros((1, 1, 3, 3))
     k[0, 0] = [[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]]
-    return CorrectionModel("conv", 1, 1, [ConvLayer(1, 1, 1, False, k)])
+    return CorrectionModel("conv", 1, [ConvLayer(1, False, k)])
 
 
 def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
     """Copy of m with every kernel multiplied by factor."""
-    layers = [ConvLayer(L.in_ch, L.out_ch, L.stride, L.transposed,
-                        factor * L.weights) for L in m.layers]
-    return CorrectionModel(m.arch, m.depth, m.channels, layers)
+    layers = [ConvLayer(L.stride, L.transposed, factor * L.weights) for L in m.layers]
+    return CorrectionModel(m.arch, m.depth, layers)
 
 
 # ------------------------------------------------------------------
@@ -140,7 +134,7 @@ def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
 # ------------------------------------------------------------------
 
 def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """Run the net on a (B, 1, n, n) batch; optionally record a tape.
+    """Run the net on a (B, n, n) batch; optionally record a tape.
 
     Skip wiring is positional: the input of every stride-2 conv is pushed,
     and after every transposed conv the most recent branch is popped and
@@ -152,7 +146,7 @@ def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> 
         if layer.transposed:
             if tape is not None:
                 tape.append(("tconv", li, a))
-            a = transposed_conv2d(a, layer.weights, layer.stride)
+            a = transposed_conv2d(a, layer.weights[0, 0], layer.stride)
             a = a + stack.pop()
             if tape is not None:
                 tape.append(("add",))
@@ -163,7 +157,7 @@ def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> 
                     tape.append(("push",))
             if tape is not None:
                 tape.append(("conv", li, a))
-            a = conv2d(a, layer.weights, layer.stride)
+            a = conv2d(a, layer.weights[0, 0], layer.stride)
     if stack:
         raise ValueError("malformed layer list: unconsumed skip branches")
     return a
@@ -182,8 +176,8 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
         if kind == "conv":
             _, li, x = entry
             layer = model.layers[li]
-            grads[li] += conv2d_weight_grad(x, g, layer.stride)
-            g = conv2d_input_grad(g, layer.weights, layer.stride, x.shape[2:])
+            grads[li][0, 0] += conv2d_weight_grad(x, g, layer.stride)
+            g = conv2d_input_grad(g, layer.weights[0, 0], layer.stride, x.shape[1:])
         elif kind == "push":
             g = g + pending.pop()
         elif kind == "add":
@@ -191,29 +185,28 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
         else:  # tconv
             _, li, x = entry
             layer = model.layers[li]
-            grads[li] += transposed_conv2d_weight_grad(x, g, layer.stride)
-            g = transposed_conv2d_input_grad(g, layer.weights, layer.stride)
+            grads[li][0, 0] += transposed_conv2d_weight_grad(x, g, layer.stride)
+            g = transposed_conv2d_input_grad(g, layer.weights[0, 0], layer.stride)
     return g
 
 
 def apply_H(model: CorrectionModel, w: Field, tape: list | None = None) -> Field:
     """Forward pass on an (n, n) field or a (..., n, n) stack of them.
 
-    The leading dimensions fold into the conv batch axis, (B, 1, n, n).
+    The leading dimensions fold into the conv batch axis, (B, n, n).
     A tape, if given, records the pass as :func:`forward` does.
     """
     n = w.shape[-1]
     model.check_compatible(n)
-    out = forward(model, w.reshape(-1, 1, n, n), tape)
+    out = forward(model, w.reshape(-1, n, n), tape)
     return out.reshape(w.shape)
 
 
 def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:
     """(layers, mul_adds) per application on an n x n grid.
 
-    Each 3x3 kernel costs 9 * in_ch * out_ch mul-adds per cell at the
-    layer's output resolution; the count is structural, independent of the
-    weight values.
+    Each 3x3 kernel costs 9 mul-adds per cell at the layer's output
+    resolution; the count is structural, independent of the weight values.
     """
     model.check_compatible(n)
     layers = len(model.layers)
@@ -224,7 +217,7 @@ def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:
             res = layer.stride * (res - 1) + 1
         elif layer.stride == 2:
             res = (res - 1) // 2 + 1
-        ops += 9 * layer.in_ch * layer.out_ch * res * res
+        ops += 9 * res * res
     return layers, ops
 
 
@@ -255,13 +248,11 @@ class PhiIterator(Iterator):
 
 def save_model(m: CorrectionModel, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"arch {m.arch} depth {m.depth} channels {m.channels}\n")
+        fh.write(f"arch {m.arch} depth {m.depth} channels 1\n")
         for idx, layer in enumerate(m.layers):
-            fh.write(
-                f"layer {idx} in {layer.in_ch} out {layer.out_ch} "
-                f"stride {layer.stride} transposed {int(layer.transposed)}\n"
-            )
-            _write_rows(fh, layer.weights.reshape(-1, 9))  # one kernel per line
+            fh.write(f"layer {idx} in 1 out 1 stride {layer.stride} "
+                     f"transposed {int(layer.transposed)}\n")
+            _write_rows(fh, layer.weights.reshape(1, 9))
 
 
 def _ints(tokens: list[str], what: str, line: int) -> list[int]:
@@ -275,7 +266,8 @@ def load_model(path) -> CorrectionModel:
     """Read a model file.
 
     A malformed line raises FileFormatError with its line number; a layer
-    list that does not wire up raises ValueError.
+    list other than the one init_model builds for the header's arch and
+    depth raises ValueError.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -288,8 +280,10 @@ def load_model(path) -> CorrectionModel:
     depth, channels = _ints([head[3], head[5]], "header", 1)
     if arch not in ("conv", "unet"):
         raise FileFormatError(f"unknown architecture {arch!r}", 1)
-    if depth < 1 or channels < 1:
-        raise FileFormatError(f"depth and channels must be positive, got {depth} and {channels}", 1)
+    if depth < 1:
+        raise FileFormatError(f"depth must be positive, got {depth}", 1)
+    if channels != 1:
+        raise FileFormatError(f"nets are single-channel, got channels {channels}", 1)
     layers = []
     pos = 1
     while pos < len(lines):
@@ -300,34 +294,25 @@ def load_model(path) -> CorrectionModel:
         if len(tok) != 10 or tok[0] != "layer":
             raise FileFormatError(f"expected layer header, got {lines[pos]!r}", pos + 1)
         ci, co, stride, transposed = _ints(tok[3::2], "layer", pos + 1)
-        if ci < 1 or co < 1:
-            raise FileFormatError(f"channel counts must be positive, got {ci} and {co}", pos + 1)
+        if (ci, co) != (1, 1):
+            raise FileFormatError(f"layers are single-channel, got in {ci} out {co}", pos + 1)
         if stride not in (1, 2):
             raise FileFormatError(f"stride must be 1 or 2, got {stride}", pos + 1)
         if transposed not in (0, 1):
             raise FileFormatError(f"transposed must be 0 or 1, got {transposed}", pos + 1)
         pos += 1
-        w = np.zeros((ci, co, 3, 3))
-        for i in range(ci):
-            for o in range(co):
-                if pos >= len(lines):
-                    raise FileFormatError("missing kernel row", pos + 1)
-                vals = lines[pos].split()
-                if len(vals) != 9:
-                    raise FileFormatError("kernel row needs 9 values", pos + 1)
-                w[i, o] = _floats([vals], 9, pos + 1,
-                                  "bad numeric value in kernel row").reshape(3, 3)
-                pos += 1
-        layers.append(ConvLayer(ci, co, stride, bool(transposed), w))
-    m = CorrectionModel(arch, depth, channels, layers)
-    _check_wiring(m)
-    return m
-
-
-def _check_wiring(m: CorrectionModel) -> None:
-    """Shape-check the layer list by running a tiny zero input through it."""
-    n = 2 ** (m.depth + 1) + 1 if m.arch == "unet" else 3
-    try:
-        forward(m, np.zeros((1, 1, n, n)))
-    except Exception as exc:  # noqa: BLE001 - re-raise with context
-        raise ValueError(f"inconsistent layer list for {m.arch}{m.depth}: {exc}") from exc
+        if pos >= len(lines):
+            raise FileFormatError("missing kernel row", pos + 1)
+        vals = lines[pos].split()
+        if len(vals) != 9:
+            raise FileFormatError("kernel row needs 9 values", pos + 1)
+        w = _floats([vals], 9, pos + 1, "bad numeric value in kernel row").reshape(1, 1, 3, 3)
+        pos += 1
+        layers.append(ConvLayer(stride, bool(transposed), w))
+    found = [(L.stride, L.transposed) for L in layers]
+    expected = _layer_plan(arch, depth)
+    if found != expected:
+        raise ValueError(
+            f"inconsistent layer list for {arch}{depth}: (stride, transposed) "
+            f"{found} differs from {expected}")
+    return CorrectionModel(arch, depth, layers)

@@ -5,10 +5,8 @@ spectral radius of T is below one, and its fixed point solves the
 discretized system whenever the base splitting does. This module extracts
 T by running iterators on the homogeneous problem (f = 0, b = 0, so the
 constant part vanishes), materializes it densely for small grids,
-estimates the radius by a windowed power iteration for large ones, builds
-the ideal one-step correction T (I - T)^-1 for cross-checks, probes the
-convexity of the spectral norm in the correction operator, and issues
-validity verdicts.
+estimates the radius by a windowed power iteration for large ones, and
+issues validity verdicts.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Field, Problem, l2_norm
-from .iterators import Iterator, JacobiIterator, ground_truth
+from .iterators import Iterator, ground_truth
 
 DENSE_MAX_N = 33
 RHO_VALID_MARGIN = 1e-6
@@ -142,88 +140,6 @@ def spectral_norm(lp: LinearPart) -> float:
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
-def asymmetry(T: np.ndarray) -> float:
-    """max |T - T^t|, reported for trained iterators (not asserted)."""
-    return float(np.abs(T - T.T).max())
-
-
-def mask_matrix(p: Problem) -> np.ndarray:
-    """The diagonal 0/1 interior projector as a dense matrix."""
-    return np.diag(p.mask.ravel().astype(np.float64))
-
-
-def wrapped_linear_matrix(T: np.ndarray, G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Update matrix of the corrected iterator: T + G H T - G H."""
-    GH = G @ H
-    return T + GH @ T - GH
-
-
-@dataclass
-class ConvexityReport:
-    lam: float
-    sigma_mix: float
-    sigma_h1: float
-    sigma_h2: float
-    bound: float
-    satisfied: bool
-
-
-def convexity_probe(
-    T: np.ndarray, G: np.ndarray, H1: np.ndarray, H2: np.ndarray,
-    lam: float, tol: float = 1e-9,
-) -> ConvexityReport:
-    """Check sigma(lam*H1 + (1-lam)*H2) <= lam*sigma(H1) + (1-lam)*sigma(H2).
-
-    sigma(H) is the spectral norm of the corrected update matrix, which is
-    affine in H, so the inequality must hold up to numerical tolerance.
-    """
-    def sigma(H):
-        return float(np.linalg.svd(wrapped_linear_matrix(T, G, H), compute_uv=False)[0])
-
-    s1, s2 = sigma(H1), sigma(H2)
-    smix = sigma(lam * H1 + (1.0 - lam) * H2)
-    bound = lam * s1 + (1.0 - lam) * s2
-    return ConvexityReport(
-        lam=lam, sigma_mix=smix, sigma_h1=s1, sigma_h2=s2,
-        bound=bound, satisfied=bool(smix <= bound + tol),
-    )
-
-
-@dataclass
-class OneStepOracle:
-    """Dense realization of the ideal correction R = T (I - T)^-1.
-
-    Feeding the base update through R and masking recovers the entire
-    remaining error, so a single corrected step lands on the solution.
-    """
-
-    R: np.ndarray
-    T: np.ndarray
-    problem: Problem
-    base: Iterator
-
-    def step(self, u: Field) -> Field:
-        psi = self.base.step(u, self.problem)
-        w = psi - u
-        corr = (self.R @ w.ravel()).reshape(u.shape)
-        return psi + np.where(self.problem.mask == 1, corr, 0.0)
-
-
-def oracle_correction(p: Problem, base: Iterator | None = None) -> OneStepOracle:
-    if p.n > 17:
-        raise ValueError(f"one-step oracle is a dense construction; n = {p.n} > 17")
-    base = base or JacobiIterator()
-    T = materialize_dense(linear_part(base, p))
-    eye = np.eye(T.shape[0])
-    try:
-        R = np.linalg.solve((eye - T).T, T.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "I - T is singular, so the base iterator cannot have spectral radius < 1"
-        ) from exc
-    return OneStepOracle(R=R, T=T, problem=p, base=base)
-
-
 @dataclass
 class ValidityVerdict:
     rho_estimate: float
@@ -232,15 +148,14 @@ class ValidityVerdict:
     valid: bool
 
 
-def certify(it: Iterator, p: Problem, mode: str | None = None) -> ValidityVerdict:
+def certify(it: Iterator, p: Problem) -> ValidityVerdict:
     """Geometry-level validity check: contraction plus fixed-point accuracy.
 
     The radius is read off the linear part, which ignores f and b entirely,
     so the verdict transfers to every right-hand side and boundary data on
-    this geometry.
+    this geometry; radius_mode(p.n) picks its estimator.
     """
-    if mode is None:
-        mode = radius_mode(p.n)
+    mode = radius_mode(p.n)
     rho = spectral_radius(linear_part(it, p), mode=mode)
     u_star = ground_truth(p)
     fp_res = float(np.abs(it.step(u_star, p) - u_star).max())

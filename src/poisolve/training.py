@@ -139,7 +139,7 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
 
 
 # ------------------------------------------------------------------
-# Batched unrolled forward/backward on the error. Shapes are (B, 1, n, n).
+# Batched unrolled forward/backward on the error. Shapes are (B, n, n).
 # ------------------------------------------------------------------
 
 def _geometry(batch: list[TrainSample]) -> Problem:
@@ -169,7 +169,7 @@ def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
     live = [sum(k >= t for k in ks) for t in range(ks[0] + 2)]
     p = _geometry(batch)
     phi = PhiIterator(JacobiIterator(), model)
-    e = np.stack([s.u0 - s.u_star for s in batch])[:, None, :, :]
+    e = np.stack([s.u0 - s.u_star for s in batch])
     e = np.where(p.mask == 1, e, 0.0)
     loss = 0.0
     retired, tapes = [], []
@@ -196,6 +196,7 @@ def loss(model: CorrectionModel, batch: list[TrainSample]) -> float:
 
 
 def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
+    """The batch loss and its exact gradient w.r.t. every kernel weight."""
     value, (p, live, retired, tapes) = _unrolled(model, batch, record=True)
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
     scale = 2.0 / len(batch)
@@ -216,11 +217,6 @@ def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
     if not all(np.isfinite(gr).all() for gr in grads):
         raise TrainingError("non-finite gradient")
     return value, grads
-
-
-def grad(model: CorrectionModel, batch: list[TrainSample]):
-    """Exact gradient of the batch loss w.r.t. every kernel weight."""
-    return loss_and_grad(model, batch)[1]
 
 
 ADAM_BETA1 = 0.9  # decay of the first-moment average

@@ -52,12 +52,11 @@ def reference_problem_text(p) -> str:
 
 
 def reference_model_text(m) -> str:
-    out = [f"arch {m.arch} depth {m.depth} channels {m.channels}\n"]
+    out = [f"arch {m.arch} depth {m.depth} channels 1\n"]
     for idx, L in enumerate(m.layers):
-        out.append(f"layer {idx} in {L.in_ch} out {L.out_ch} "
+        out.append(f"layer {idx} in 1 out 1 "
                    f"stride {L.stride} transposed {int(L.transposed)}\n")
-        out += [_row(L.weights[ci, co].ravel())
-                for ci in range(L.in_ch) for co in range(L.out_ch)]
+        out.append(_row(L.weights.ravel()))
     return "".join(out)
 
 
@@ -125,11 +124,24 @@ class TestWrittenBytes:
         assert out == reference_model_text(m).encode()
         assert out == path.read_bytes()
 
-    def test_multichannel_model_rows(self, tmp_path):
-        m = init_model("unet2", seed=3, channels=3, bottom_layers=2)
-        m.layers[0].weights.flat[:len(SPECIAL)] = SPECIAL
+    def test_model_special_values(self, tmp_path):
+        m = init_model("unet2", seed=3)
+        m.layers[0].weights.flat[:] = SPECIAL + [2.0 ** -60]
         save_model(m, tmp_path / "m.model")
         assert (tmp_path / "m.model").read_bytes() == reference_model_text(m).encode()
+
+    def test_multichannel_model_rows(self, tmp_path):
+        # nets are single-channel; a file with more channels names its line
+        save_model(init_model("unet2", seed=3), tmp_path / "m.model")
+        text = (tmp_path / "m.model").read_text()
+        for old, new, line in [("channels 1", "channels 2", 1),
+                               ("layer 3 in 1 out 1", "layer 3 in 2 out 1", 8),
+                               ("layer 5 in 1 out 1", "layer 5 in 1 out 3", 12)]:
+            assert old in text
+            (tmp_path / "m.model").write_text(text.replace(old, new))
+            with pytest.raises(FileFormatError, match=f"^line {line}: .*single-channel") as info:
+                load_model(tmp_path / "m.model")
+            assert info.value.line == line
 
 
 class TestParsedValues:

@@ -52,6 +52,16 @@ class TestApplyH:
         with pytest.raises(ValueError, match="incompatible"):
             apply_H(m, np.zeros((18, 18)))
 
+    @pytest.mark.parametrize("arch, n, reason", [
+        ("unet2", 5, "coarsest grid below 3x3"),
+        ("unet2", 7, "not divisible"),
+        ("conv3", 2, "coarsest grid below 3x3"),
+    ])
+    def test_incompatible_size_names_its_reason(self, arch, n, reason):
+        # 4 divides n - 1 = 4: a 5 x 5 grid fails unet2 only by coarsening to 2 x 2
+        with pytest.raises(ValueError, match=f"incompatible with {arch}: .*{reason}"):
+            init_model(arch, seed=0).check_compatible(n)
+
     def test_doubling(self):
         m = init_model("unet3", seed=5)
         w = np.random.default_rng(6).standard_normal((17, 17))
@@ -189,7 +199,7 @@ class TestInitAndFiles:
         ("arch conv depth x channels 1\n" + _LAYER + _ROW, 1, "integers"),
         ("arch conv depth 0 channels 1\n" + _LAYER + _ROW, 1, "positive"),
         (_HEAD + "layer 0 in 1 out one stride 1 transposed 0\n" + _ROW, 2, "integers"),
-        (_HEAD + "layer 0 in 0 out 1 stride 1 transposed 0\n" + _ROW, 2, "positive"),
+        (_HEAD + "layer 0 in 0 out 1 stride 1 transposed 0\n" + _ROW, 2, "single-channel"),
         (_HEAD + "layer 0 in 1 out 1 stride 3 transposed 0\n" + _ROW, 2, "stride"),
         (_HEAD + "layer 0 in 1 out 1 stride 1 transposed 2\n" + _ROW, 2, "transposed"),
         (_HEAD + _LAYER + "0 0 0 0 x 0 0 0 0\n", 3, "numeric"),
@@ -203,3 +213,16 @@ class TestInitAndFiles:
         with pytest.raises(FileFormatError, match=f"^line {line}: .*{match}") as info:
             load_model(path)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("arch, edit", [
+        ("conv3", lambda lines: lines[:-2]),  # one layer short
+        ("conv1", lambda lines: lines + lines[1:]),  # one layer too many
+        ("unet2", lambda lines: [line.replace("stride 2", "stride 1") for line in lines]),
+        ("unet2", lambda lines: lines[:5] + lines[7:]),  # a downsampling layer dropped
+    ], ids=["short", "long", "strides", "unbalanced"])
+    def test_load_rejects_other_layer_lists(self, tmp_path, arch, edit):
+        path = tmp_path / "m.model"
+        save_model(init_model(arch, seed=0), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=f"inconsistent layer list for {arch}"):
+            load_model(path)

@@ -16,19 +16,21 @@ from poisolve.model import (
 from poisolve.spectral import (
     FIXED_POINT_TOL,
     LinearPart,
-    asymmetry,
     certify,
-    convexity_probe,
     linear_part,
-    mask_matrix,
     materialize_dense,
-    oracle_correction,
     spectral_norm,
     spectral_radius,
-    wrapped_linear_matrix,
 )
 
 from conftest import square_problem
+from paper_constructs import (
+    asymmetry,
+    convexity_probe,
+    mask_matrix,
+    oracle_correction,
+    wrapped_linear_matrix,
+)
 
 
 class _ZeroIterator:
@@ -257,7 +259,7 @@ class TestCertify:
         rng = np.random.default_rng(7)
         for _ in range(20):
             p = random_geometry(17, rng)
-            v = certify(JacobiIterator(), p, mode="dense")
+            v = certify(JacobiIterator(), p)
             assert v.valid and v.rho_estimate < 1.0
 
     def test_verdict_is_data_independent(self):
@@ -272,7 +274,7 @@ class TestCertify:
             b = np.where(mask == 0, rng.standard_normal((n, n)), 0.0)
             f = rng.standard_normal((n, n))
             p = make_problem(mask, b, f)
-            v = certify(phi, p, mode="dense")
+            v = certify(phi, p)
             verdicts.append((round(v.rho_estimate, 12), v.valid))
         assert len(set(verdicts)) == 1
 
@@ -281,7 +283,7 @@ class TestCertify:
         failure instead of returning a wrong answer."""
         m = scale_model(init_model("conv3", seed=6), 100.0)
         phi = PhiIterator(JacobiIterator(), m)
-        v = certify(phi, p17, mode="dense")
+        v = certify(phi, p17)
         assert v.rho_estimate > 1.0 and not v.valid
         assert v.fixed_point_residual <= 1e-8  # the fixed point survives
         us = ground_truth(p17)

@@ -23,7 +23,6 @@ from poisolve.training import (
     TrainSample,
     TrainingError,
     default_config,
-    grad,
     loss,
     loss_and_grad,
     sample_batch,
@@ -141,7 +140,7 @@ class TestGrad:
         m = scale_model(init_model(arch, seed=7), 10.0)
         cfg = TrainConfig(arch=arch, n=17, steps=0)
         batch = _batch(cache17, cfg, 23)
-        grads = grad(m, batch)
+        _, grads = loss_and_grad(m, batch)
         rng = np.random.default_rng(5)
         h = 1e-5
         for _ in range(20):
@@ -161,7 +160,7 @@ class TestGrad:
         cfg = default_config("conv3", steps=0)
         batch = [TrainSample(s.problem, s.u_star, s.u_star, s.k)
                  for s in _batch(cache17, cfg, 13)]
-        grads = grad(init_model("conv3", seed=3), batch)
+        _, grads = loss_and_grad(init_model("conv3", seed=3), batch)
         assert max(np.abs(g).max() for g in grads) < 1e-16
 
     def test_linear_in_batch_average(self, cache17):
@@ -184,20 +183,17 @@ def _full_batch_unroll(model, batch, error_form=True):
     training does; the data form steps u0 on the sample's own problem
     towards u*, the objective ||Phi^k(u0) - u*||^2 as first written.
     """
-    def pile(arrs):
-        return np.stack(arrs)[:, None, :, :]
-
-    M = pile([s.problem.mask.astype(np.float64) for s in batch])
-    u = pile([s.u0 for s in batch])
-    ustar = pile([s.u_star for s in batch])
+    M = np.stack([s.problem.mask.astype(np.float64) for s in batch])
+    u = np.stack([s.u0 for s in batch])
+    ustar = np.stack([s.u_star for s in batch])
     if error_form:
         u, ustar = M * (u - ustar), np.zeros_like(u)
 
         def sweep(v):
             return M * neighbor_mean(v)
     else:
-        bb = pile([s.problem.b for s in batch])
-        q = pile([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
+        bb = np.stack([s.problem.b for s in batch])
+        q = np.stack([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
 
         def sweep(v):
             return M * (neighbor_mean(v) + q) + (1.0 - M) * bb
