@@ -53,10 +53,6 @@ class CorrectionModel:
     depth: int
     layers: list[ConvLayer] = field(default_factory=list)
 
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
-
     def _fault(self, n: int) -> str | None:
         """Why an n x n grid does not fit the net, or None if it does.
 
@@ -293,7 +289,9 @@ def load_model(path) -> CorrectionModel:
         tok = lines[pos].split()
         if len(tok) != 10 or tok[0] != "layer":
             raise FileFormatError(f"expected layer header, got {lines[pos]!r}", pos + 1)
-        ci, co, stride, transposed = _ints(tok[3::2], "layer", pos + 1)
+        idx, ci, co, stride, transposed = _ints(tok[1::2], "layer", pos + 1)
+        if idx != len(layers):
+            raise FileFormatError(f"layer index {idx}, expected {len(layers)}", pos + 1)
         if (ci, co) != (1, 1):
             raise FileFormatError(f"layers are single-channel, got in {ci} out {co}", pos + 1)
         if stride not in (1, 2):

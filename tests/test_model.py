@@ -205,8 +205,9 @@ class TestInitAndFiles:
         (_HEAD + _LAYER + "0 0 0 0 x 0 0 0 0\n", 3, "numeric"),
         (_HEAD + _LAYER, 3, "missing kernel row"),
         (_HEAD + _LAYER + _ROW + "layer 1 in 1 out 1\n", 4, "layer header"),
+        (_HEAD + _LAYER + _ROW + _LAYER + _ROW, 4, "layer index 0, expected 1"),
     ], ids=["header-int", "header-depth", "layer-int", "layer-channels", "stride",
-            "transposed", "kernel-value", "kernel-row", "layer-header"])
+            "transposed", "kernel-value", "kernel-row", "layer-header", "layer-index"])
     def test_load_error_names_its_line(self, tmp_path, text, line, match):
         path = tmp_path / "bad.model"
         path.write_text(text)
@@ -223,6 +224,11 @@ class TestInitAndFiles:
     def test_load_rejects_other_layer_lists(self, tmp_path, arch, edit):
         path = tmp_path / "m.model"
         save_model(init_model(arch, seed=0), path)
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        lines = edit(path.read_text().splitlines())
+        # number the layers 0, 1, ... again, so the list is the only fault
+        layer_lines = [i for i, line in enumerate(lines) if line.startswith("layer ")]
+        for idx, i in enumerate(layer_lines):
+            lines[i] = f"layer {idx} " + lines[i].split(" ", 2)[2]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"inconsistent layer list for {arch}"):
             load_model(path)

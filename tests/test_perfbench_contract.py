@@ -87,6 +87,18 @@ def test_bound_names_exist_and_calls_bind():
     assert not broken, "\n".join(broken)
 
 
+def test_certify_methods_known_to_the_benchmark():
+    """final_checks looks up certify's method in checks.JACOBI_RADIUS_TOL, so a
+    method the benchmark does not list raises KeyError there."""
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    known = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "JACOBI_RADIUS_TOL" for t in node.targets))
+    spectral = importlib.import_module("poisolve.spectral")
+    for n in (17, 65, 257):
+        assert spectral.radius_mode(n) in known, (n, spectral.radius_mode(n), sorted(known))
+
+
 def test_benchmark_selftest_passes():
     # writes only perfbench/out/, which is ignored by git
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from poisolve.grid import make_problem, reset
-from poisolve.geometry import random_geometry
-from poisolve.iterators import JacobiIterator, ground_truth, jacobi_step, solve_to_tol
+from poisolve.geometry import GeometrySpec, generate, random_geometry
+from poisolve.iterators import (
+    JacobiIterator,
+    MultigridIterator,
+    ground_truth,
+    jacobi_step,
+    solve_to_tol,
+)
 from poisolve.model import (
     PhiIterator,
     apply_H,
@@ -130,6 +136,7 @@ class TestSpectralRadius:
         lp = linear_part(_ZeroIterator(), p17)
         assert spectral_radius(lp, mode="dense") == 0.0
         assert spectral_radius(lp, mode="power") == 0.0
+        assert spectral_radius(lp, mode="arnoldi") == 0.0
 
     def test_power_matches_dense(self, p17):
         lp = linear_part(JacobiIterator(), p17)
@@ -143,6 +150,65 @@ class TestSpectralRadius:
         dense = spectral_radius(lp, mode="dense")
         power = spectral_radius(lp, mode="power")
         assert abs(dense - power) <= 1e-3
+
+
+def _arnoldi_cases():
+    """Jacobi, mg2, and conv3/unet2 at three seeds, at init scale and x3; at
+    x3 the wrapped T is non-normal with rho > 1."""
+    yield JacobiIterator()
+    yield MultigridIterator(2)
+    for arch in ("conv3", "unet2"):
+        for seed in range(3):
+            m = init_model(arch, seed=seed)
+            yield PhiIterator(JacobiIterator(), m)
+            yield PhiIterator(JacobiIterator(), scale_model(m, 3.0))
+
+
+def _mask_problem(key, n):
+    """A setting by name, or the random_geometry mask drawn from a seed."""
+    if isinstance(key, str):
+        return generate(GeometrySpec(kind=key, n=n, seed=0))
+    return random_geometry(n, np.random.default_rng(key))
+
+
+class TestArnoldi:
+    @pytest.mark.parametrize("key", ["square", "lshape", "cylinders", "square_poisson",
+                                     30, 31, 32, 33])
+    def test_matches_dense_at_17(self, key):
+        p = _mask_problem(key, 17)
+        for it in _arnoldi_cases():
+            lp = linear_part(it, p)
+            dense = spectral_radius(lp, mode="dense")
+            assert abs(spectral_radius(lp, mode="arnoldi") - dense) <= 1e-5 * dense, it.name
+
+    @pytest.mark.parametrize("key", [40, 41])
+    def test_matches_dense_at_33(self, key):
+        p = _mask_problem(key, 33)
+        scaled = scale_model(init_model("unet2", seed=0), 3.0)
+        for it in (JacobiIterator(), PhiIterator(JacobiIterator(), scaled)):
+            lp = linear_part(it, p)
+            dense = spectral_radius(lp, mode="dense")
+            assert abs(spectral_radius(lp, mode="arnoldi") - dense) <= 1e-5 * dense, it.name
+
+    def test_interior_smaller_than_basis(self):
+        """30 interior cells: the basis spans T's invariant interior space
+        before ARNOLDI_DIM steps, and the Ritz values are its eigenvalues."""
+        mask = np.zeros((17, 17), dtype=np.uint8)
+        mask[3:8, 4:10] = 1
+        p = make_problem(mask, np.zeros((17, 17)), np.zeros((17, 17)))
+        scaled = scale_model(init_model("unet2", seed=0), 3.0)
+        for it in (JacobiIterator(), PhiIterator(JacobiIterator(), scaled)):
+            lp = linear_part(it, p)
+            dense = spectral_radius(lp, mode="dense")
+            assert abs(spectral_radius(lp, mode="arnoldi") - dense) <= 1e-12, it.name
+
+    def test_jacobi_closed_form_above_dense_cap(self):
+        lp = linear_part(JacobiIterator(), square_problem(65))
+        assert abs(spectral_radius(lp, mode="arnoldi") - math.cos(math.pi / 64)) <= 1e-6
+
+    def test_repeatable(self, p17):
+        lp = linear_part(PhiIterator(JacobiIterator(), init_model("unet2", seed=1)), p17)
+        assert spectral_radius(lp, mode="arnoldi") == spectral_radius(lp, mode="arnoldi")
 
 
 class TestSpectralNorm:
@@ -320,7 +386,7 @@ class TestGuaranteeOverRandomWeights:
             # refuse it
             d = np.abs(jacobi_step(us, p) - us).max()
             MH = materialize_dense(LinearPart(
-                lambda w: np.where(p.mask == 1, apply_H(m, w), 0.0), p.n))
+                lambda w: np.where(p.mask == 1, apply_H(m, w), 0.0), p.mask))
             gain = np.abs(MH).sum(axis=1).max()
             drift = np.abs(phi.step(us, p) - us).max()
             assert drift <= 2.0 * (1.0 + gain) * d
