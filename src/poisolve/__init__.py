@@ -55,14 +55,7 @@ from .spectral import (
     spectral_norm,
     spectral_radius,
 )
-from .training import (
-    TrainConfig,
-    TrainSample,
-    default_config,
-    loss,
-    sample_square_problem,
-    train,
-)
+from .training import Batch, TrainConfig, default_config, loss, train
 from .geometry import GeometrySpec, generate, random_geometry
 from .bench import BenchResult, run_benchmark, write_bench_csv
 

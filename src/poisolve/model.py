@@ -125,8 +125,9 @@ def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
 
 
 # ------------------------------------------------------------------
-# Forward / backward through the net. The tape is a flat op list; skip
-# branches are matched LIFO, mirroring the forward stack discipline.
+# Forward / backward through the net. The tape holds each layer's input,
+# one entry per layer; skip branches are matched LIFO, mirroring the
+# forward stack discipline.
 # ------------------------------------------------------------------
 
 def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> np.ndarray:
@@ -138,21 +139,14 @@ def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> 
     """
     stack: list[np.ndarray] = []
     a = x
-    for li, layer in enumerate(model.layers):
+    for layer in model.layers:
+        if tape is not None:
+            tape.append(a)
         if layer.transposed:
-            if tape is not None:
-                tape.append(("tconv", li, a))
-            a = transposed_conv2d(a, layer.weights[0, 0], layer.stride)
-            a = a + stack.pop()
-            if tape is not None:
-                tape.append(("add",))
+            a = transposed_conv2d(a, layer.weights[0, 0], layer.stride) + stack.pop()
         else:
             if layer.stride == 2:
                 stack.append(a)
-                if tape is not None:
-                    tape.append(("push",))
-            if tape is not None:
-                tape.append(("conv", li, a))
             a = conv2d(a, layer.weights[0, 0], layer.stride)
     if stack:
         raise ValueError("malformed layer list: unconsumed skip branches")
@@ -161,28 +155,26 @@ def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> 
 
 def backward(model: CorrectionModel, tape: list, g: np.ndarray,
              grads: list[np.ndarray]) -> np.ndarray:
-    """Adjoint pass over a recorded tape.
+    """Adjoint pass over a recorded tape, walking the layers in reverse.
 
-    Accumulates kernel gradients into grads (one array per layer, same
-    shapes as the weights) and returns the gradient w.r.t. the net input.
+    The adjoint at each transposed conv is also the skip branch's, so it is
+    pushed there and popped back in after the stride-2 conv that opened
+    the branch. Accumulates kernel gradients into grads (one array per
+    layer, same shapes as the weights) and returns the gradient w.r.t. the
+    net input.
     """
     pending: list[np.ndarray] = []
-    for entry in reversed(tape):
-        kind = entry[0]
-        if kind == "conv":
-            _, li, x = entry
-            layer = model.layers[li]
-            grads[li][0, 0] += conv2d_weight_grad(x, g, layer.stride)
-            g = conv2d_input_grad(g, layer.weights[0, 0], layer.stride, x.shape[1:])
-        elif kind == "push":
-            g = g + pending.pop()
-        elif kind == "add":
+    for layer, x, grad in zip(reversed(model.layers), reversed(tape), reversed(grads)):
+        w = layer.weights[0, 0]
+        if layer.transposed:
             pending.append(g)
-        else:  # tconv
-            _, li, x = entry
-            layer = model.layers[li]
-            grads[li][0, 0] += transposed_conv2d_weight_grad(x, g, layer.stride)
-            g = transposed_conv2d_input_grad(g, layer.weights[0, 0], layer.stride)
+            grad[0, 0] += transposed_conv2d_weight_grad(x, g, layer.stride)
+            g = transposed_conv2d_input_grad(g, w, layer.stride)
+        else:
+            grad[0, 0] += conv2d_weight_grad(x, g, layer.stride)
+            g = conv2d_input_grad(g, w, layer.stride, x.shape[1:])
+            if layer.stride == 2:
+                g = g + pending.pop()
     return g
 
 

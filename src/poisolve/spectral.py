@@ -24,6 +24,8 @@ from .iterators import Iterator, ground_truth
 DENSE_MAX_N = 33
 RHO_VALID_MARGIN = 1e-6
 FIXED_POINT_TOL = 1e-8
+POWER_ITERATIONS = 2000  # power-iteration steps per restart
+POWER_RESTARTS = 5  # power-iteration start fields, advanced as one stack
 POWER_WINDOW = 50  # trailing power-iteration steps the growth is averaged over
 POWER_SEED = 0  # seed of the power iteration's random start fields
 ARNOLDI_DIM = 60  # Krylov dimension of one Arnoldi cycle; V holds 61 fields
@@ -78,7 +80,7 @@ def materialize_dense(lp: LinearPart) -> np.ndarray:
     n = lp.n
     if n > DENSE_MAX_N:
         raise ValueError(
-            f"n = {n} exceeds the dense cap {DENSE_MAX_N}; use the power method"
+            f"n = {n} exceeds the dense cap {DENSE_MAX_N}; use mode 'power' or 'arnoldi'"
         )
     N = n * n
     T = np.zeros((N, N))
@@ -95,21 +97,17 @@ def radius_mode(n: int) -> str:
     return "dense" if n <= DENSE_MAX_N else "power"
 
 
-def spectral_radius(
-    lp: LinearPart,
-    mode: str = "dense",
-    iterations: int = 2000,
-    restarts: int = 5,
-) -> float:
+def spectral_radius(lp: LinearPart, mode: str = "dense") -> float:
     """Largest |eigenvalue| of T: exact eigensolve, power-growth or Arnoldi estimate.
 
-    Dense and Arnoldi mode (see _arnoldi_radius) ignore iterations and
-    restarts. Power mode tracks the log growth of a renormalized iterate and
-    averages the growth factor over the trailing POWER_WINDOW steps, which
-    irons out the rotation of complex leading eigenpairs; the maximum over
-    restarts guards against unlucky starts. The restarts advance together
-    as one (restarts, n, n) stack; each is normalized by its own norm and
-    stops on its own when its norm reaches zero.
+    Power mode (Arnoldi: see _arnoldi_radius) runs POWER_ITERATIONS steps
+    from each of POWER_RESTARTS start fields. It tracks the log growth of
+    a renormalized iterate and averages the growth factor over the
+    trailing POWER_WINDOW steps, which irons out the rotation of complex
+    leading eigenpairs; the maximum over restarts guards against unlucky
+    starts. The restarts advance together as one (restarts, n, n) stack;
+    each is normalized by its own norm and stops on its own when its norm
+    reaches zero.
     """
     if mode == "dense":
         T = materialize_dense(lp)
@@ -121,6 +119,7 @@ def spectral_radius(
     # one draw of the whole stack yields the same start fields as one
     # (n, n) draw per restart in turn
     n, window = lp.n, POWER_WINDOW
+    iterations, restarts = POWER_ITERATIONS, POWER_RESTARTS
     v = np.random.default_rng(POWER_SEED).standard_normal((restarts, n, n))
     for r in range(restarts):
         v[r] /= l2_norm(v[r])

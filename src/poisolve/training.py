@@ -5,18 +5,20 @@ wrapped-iterator steps, with k drawn per sample from {1, ..., k_max} and
 the start field drawn white-Gaussian then reset to the boundary values.
 The wrapped iterator keeps the base solver's fixed point for any weights,
 so Phi(u) - u* = T_H (u - u*) exactly, where the linear part T_H depends
-on the mask alone. The unroll therefore runs the error recursion: the
-wrapped iterator's own step (:meth:`poisolve.model.PhiIterator.step`) on
-the batch's homogeneous problem (b = 0, f = 0), from e0 = mask (u0 - u*),
-and the loss sums the squared final errors; T_H is the operator that
+on the mask alone. A training step therefore carries only what that error
+recursion reads: a :class:`Batch` holds the one geometry, homogeneous
+(b = 0, f = 0), the start errors e0 = mask (u0 - u*) as a (B, n, n) stack,
+and each sample's k. The unroll runs the wrapped iterator's own step
+(:meth:`poisolve.model.PhiIterator.step`) on that geometry, and the loss
+sums the squared final errors; T_H is the operator that
 :func:`poisolve.spectral.certify` measures. The unroll retires each sample
 at its own k: step t advances only the samples still short of their k.
 Gradients are computed by an explicit reverse pass over the unrolled
 steps, which takes each sample in at its own k: the sweep's linear part
 is self-adjoint on interior cells, so its adjoint is the sweep itself
 (:func:`poisolve.iterators.jacobi_step` on the homogeneous problem) after
-masking, and the adjoint of the correction net is the tape walk in
-:mod:`poisolve.model`.
+masking, and the adjoint of the correction net is the walk over the
+layer-input tape in :mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
 usable with any base at inference time.
@@ -31,16 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import square_problem
-from .grid import Field, Problem, reset
+from .grid import Field, Problem
 from .iterators import JacobiIterator, ground_truth, jacobi_step
 from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
-from .spectral import (
-    DENSE_MAX_N,
-    RHO_VALID_MARGIN,
-    homogeneous,
-    linear_part,
-    spectral_radius,
-)
+from .spectral import DENSE_MAX_N, RHO_VALID_MARGIN, linear_part, spectral_radius
+
+RHO_EVERY = 500  # training steps between the log's rho_estimate checks
 
 
 class TrainingError(RuntimeError):
@@ -61,11 +59,12 @@ class TrainConfig:
     lr: float = 1e-3
     steps: int = 20000
     seed: int = 0
-    rho_every: int = 500
 
     def __post_init__(self):
         if self.k_max < 1 or self.batch < 1 or self.lr <= 0 or self.steps < 0:
             raise ValueError("invalid training configuration")
+        if self.n < 5:
+            raise ValueError(f"training grid too small: n = {self.n}")
 
 
 def default_config(arch: str, **overrides) -> TrainConfig:
@@ -81,11 +80,23 @@ def default_config(arch: str, **overrides) -> TrainConfig:
 
 
 @dataclass
-class TrainSample:
-    problem: Problem
-    u_star: Field
-    u0: Field
-    k: int
+class Batch:
+    """One training step's samples, all on one geometry.
+
+    geometry is the homogeneous problem (b = 0, f = 0) the errors step on
+    (the square, for sample_batch), e0 the (B, n, n) stack of start errors
+    mask (u0 - u*), zero off the interior, and ks[i] the number of steps
+    sample i is unrolled for.
+    """
+
+    geometry: Problem
+    e0: np.ndarray
+    ks: list[int]
+
+    def __post_init__(self):
+        if self.e0.shape != (len(self.ks), self.geometry.n, self.geometry.n):
+            raise ValueError(f"start errors of shape {self.e0.shape} do not match "
+                             f"{len(self.ks)} samples on n = {self.geometry.n}")
 
 
 @dataclass
@@ -96,30 +107,24 @@ class LogRow:
     wall_seconds: float
 
 
-def sample_square_problem(n: int, rng: np.random.Generator) -> Problem:
-    """Laplace on the square with each side a fresh uniform value in [-1, 1]."""
-    if n < 5:
-        raise ValueError(f"training grid too small: n = {n}")
-    return square_problem(n, rng.uniform(-1.0, 1.0, size=4))
-
-
 class SquareSolutionCache:
     """Reference solutions for sampled square problems in O(1) per sample.
 
     The solution of the Laplace problem is linear in the boundary data, so
-    the four unit-side solutions span every sampled problem exactly.
+    the four unit-side solutions span every sampled problem exactly. The
+    homogeneous square, the geometry every sample shares, is built once.
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.geometry = square_problem(n, (0.0, 0.0, 0.0, 0.0))
         self.basis = []
         for side in range(4):
             sides = [0.0] * 4
             sides[side] = 1.0
             self.basis.append(ground_truth(square_problem(n, sides)))
 
-    def solution(self, p: Problem) -> Field:
-        sides = (p.b[0, 1], p.b[-1, 1], p.b[1, 0], p.b[1, -1])
+    def solution(self, sides) -> Field:
+        """The solution for one value per side (top, bottom, left, right)."""
         u = sides[0] * self.basis[0]
         for v, base in zip(sides[1:], self.basis[1:]):
             u = u + v * base
@@ -127,50 +132,47 @@ class SquareSolutionCache:
 
 
 def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
-                 rng: np.random.Generator) -> list[TrainSample]:
-    batch = []
-    for _ in range(cfg.batch):
-        p = sample_square_problem(cfg.n, rng)
-        u_star = cache.solution(p)
-        u0 = reset(rng.standard_normal((cfg.n, cfg.n)), p)
-        k = int(rng.integers(1, cfg.k_max + 1))
-        batch.append(TrainSample(problem=p, u_star=u_star, u0=u0, k=k))
-    return batch
+                 rng: np.random.Generator) -> Batch:
+    """cfg.batch samples on the square, each drawn in turn as four uniform
+    [-1, 1] sides, an (n, n) white start field z and k in {1, ..., k_max}.
+
+    Resetting z to the sides changes only boundary cells, where the error
+    is zero, so e0 = mask (z - u*) for the sides' solution u*.
+    """
+    n = cfg.n
+    interior = cache.geometry.mask == 1
+    e0 = np.empty((cfg.batch, n, n))
+    ks = []
+    for i in range(cfg.batch):
+        sides = rng.uniform(-1.0, 1.0, size=4)
+        z = rng.standard_normal((n, n))
+        e0[i] = np.where(interior, z - cache.solution(sides), 0.0)
+        ks.append(int(rng.integers(1, cfg.k_max + 1)))
+    return Batch(cache.geometry, e0, ks)
 
 
 # ------------------------------------------------------------------
 # Batched unrolled forward/backward on the error. Shapes are (B, n, n).
 # ------------------------------------------------------------------
 
-def _geometry(batch: list[TrainSample]) -> Problem:
-    """The batch's one geometry, homogeneous (b = 0, f = 0): errors step there."""
-    p = batch[0].problem
-    for s in batch[1:]:
-        if s.problem.h != p.h or not np.array_equal(s.problem.mask, p.mask):
-            raise ValueError("training batch mixes geometries")
-    return homogeneous(p)
-
-
-def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
+def _unrolled(model: CorrectionModel, batch: Batch, record: bool):
     """Run every sample's error to its own k and no further.
 
-    The batch is stable-sorted by k, largest first, so the samples still
+    The samples are stable-sorted by k, largest first, so those still
     short of their k at step t are the leading live[t] rows, and those that
     retire at t keep their order in the batch. Returns the loss and, if
-    record, what the reverse pass needs: the homogeneous problem, live, the
-    final errors of the samples retiring at each step, and the tapes.
-    Raises TrainingError at the first step whose iterate or accumulated
-    loss is not finite.
+    record, what the reverse pass needs: live, the final errors of the
+    samples retiring at each step, and the tapes. Raises TrainingError at
+    the first step whose iterate or accumulated loss is not finite.
     """
-    if not batch:
+    if not batch.ks:
         raise ValueError("empty batch")
-    batch = sorted(batch, key=lambda s: -s.k)
-    ks = [s.k for s in batch]
+    order = sorted(range(len(batch.ks)), key=lambda i: -batch.ks[i])
+    ks = [batch.ks[i] for i in order]
     live = [sum(k >= t for k in ks) for t in range(ks[0] + 2)]
-    p = _geometry(batch)
+    p = batch.geometry
     phi = PhiIterator(JacobiIterator(), model)
-    e = np.stack([s.u0 - s.u_star for s in batch])
-    e = np.where(p.mask == 1, e, 0.0)
+    e = batch.e0[order]
     loss = 0.0
     retired, tapes = [], []
     # a divergent model overflows; the finiteness checks below report it
@@ -186,20 +188,21 @@ def _unrolled(model: CorrectionModel, batch: list[TrainSample], record: bool):
                 raise TrainingError(f"non-finite loss ({loss}) at unroll step {t}")
             retired.append(final)
             tapes.append(tape)
-    loss /= len(batch)
-    return loss, (p, live, retired, tapes)
+    loss /= len(ks)
+    return loss, (live, retired, tapes)
 
 
-def loss(model: CorrectionModel, batch: list[TrainSample]) -> float:
+def loss(model: CorrectionModel, batch: Batch) -> float:
     """Mean over the batch of ||Phi^k(u0) - u*||_2^2."""
     return _unrolled(model, batch, record=False)[0]
 
 
-def loss_and_grad(model: CorrectionModel, batch: list[TrainSample]):
+def loss_and_grad(model: CorrectionModel, batch: Batch):
     """The batch loss and its exact gradient w.r.t. every kernel weight."""
-    value, (p, live, retired, tapes) = _unrolled(model, batch, record=True)
+    value, (live, retired, tapes) = _unrolled(model, batch, record=True)
+    p = batch.geometry
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
-    scale = 2.0 / len(batch)
+    scale = 2.0 / len(batch.ks)
     g = scale * retired[-1]
     # as in the forward pass, overflow is reported by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,13 +267,12 @@ def train(cfg: TrainConfig, log_path=None):
     divergence and on a failed post-training validity check.
     """
     model = init_model(cfg.arch, seed=cfg.seed)
-    cache = SquareSolutionCache(cfg.n)
     model.check_compatible(cfg.n)
+    cache = SquareSolutionCache(cfg.n)
     rng = np.random.default_rng(cfg.seed + 1000003)
     opt = Adam(model, cfg.lr)
     log: list[LogRow] = []
     t_start = time.time()
-    geometry = square_problem(cfg.n, (0.0, 0.0, 0.0, 0.0))
     for step in range(1, cfg.steps + 1):
         batch = sample_batch(cfg, cache, rng)
         try:
@@ -282,14 +284,12 @@ def train(cfg: TrainConfig, log_path=None):
                                 step=step, log=log)
         opt.update(model, grads)
         rho = None
-        if cfg.rho_every and (step % cfg.rho_every == 0 or step == cfg.steps):
-            rho = _train_rho(model, geometry)
+        if step % RHO_EVERY == 0 or step == cfg.steps:
+            rho = _train_rho(model, cache.geometry)
         log.append(LogRow(step=step, loss=value, rho_estimate=rho,
                           wall_seconds=time.time() - t_start))
     if cfg.steps > 0:
-        final_rho = log[-1].rho_estimate
-        if final_rho is None:
-            final_rho = _train_rho(model, geometry)
+        final_rho = log[-1].rho_estimate  # measured at the last step
         if not final_rho <= 1.0 - RHO_VALID_MARGIN:  # certify's rule
             raise TrainingError(
                 f"trained iterator is not contractive (rho = {final_rho:.6f})",

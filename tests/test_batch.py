@@ -7,6 +7,7 @@ must return exactly the per-field results; np.array_equal, no tolerance.
 import numpy as np
 import pytest
 
+from poisolve import spectral
 from poisolve.geometry import GeometrySpec, generate
 from poisolve.iterators import JacobiIterator, MultigridIterator
 from poisolve.model import PhiIterator, init_model
@@ -86,9 +87,11 @@ def test_step_equals_per_field_steps(problems, name, lead):
 
 
 @pytest.mark.parametrize("name", ITERATORS)
-def test_power_radius_equals_sequential_restarts(problems, name):
+def test_power_radius_equals_sequential_restarts(problems, name, monkeypatch):
+    monkeypatch.setattr(spectral, "POWER_ITERATIONS", 120)
+    monkeypatch.setattr(spectral, "POWER_RESTARTS", 3)
     lp = linear_part(_iterators()[name], problems[1])
-    got = spectral_radius(lp, mode="power", iterations=120, restarts=3)
+    got = spectral_radius(lp, mode="power")
     assert got == _reference_power(lp, 17, iterations=120, window=POWER_WINDOW,
                                    restarts=3, seed=POWER_SEED)
 

@@ -118,7 +118,7 @@ class TestTrainBench:
         assert code == 2 and "not certified" in err
 
     def test_solve_with_trained_model(self, tmp_path, capsys):
-        cfg = default_config("conv2", steps=40, seed=8, rho_every=0)
+        cfg = default_config("conv2", steps=40, seed=8)
         model, _ = train(cfg)
         mp = tmp_path / "m.model"
         save_model(model, mp)

@@ -62,6 +62,16 @@ class TestApplyH:
         with pytest.raises(ValueError, match=f"incompatible with {arch}: .*{reason}"):
             init_model(arch, seed=0).check_compatible(n)
 
+    @pytest.mark.parametrize("arch", ["conv3", "unet2"])
+    def test_tape_holds_each_layers_input(self, arch):
+        m = init_model(arch, seed=1)
+        w = np.random.default_rng(7).standard_normal((2, 17, 17))
+        tape = []
+        out = apply_H(m, w, tape)
+        assert len(tape) == len(m.layers)
+        assert np.array_equal(tape[0], w)
+        assert np.array_equal(out, apply_H(m, w))
+
     def test_doubling(self):
         m = init_model("unet3", seed=5)
         w = np.random.default_rng(6).standard_normal((17, 17))

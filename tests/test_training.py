@@ -5,7 +5,7 @@ import pytest
 
 from poisolve import training
 from poisolve.geometry import random_geometry
-from poisolve.grid import make_problem, residual_norms
+from poisolve.grid import reset, residual_norms
 from poisolve.iterators import jacobi_step
 from poisolve.model import (
     apply_H,
@@ -18,15 +18,14 @@ from poisolve.model import (
 )
 from poisolve.spectral import homogeneous
 from poisolve.training import (
+    Batch,
     SquareSolutionCache,
     TrainConfig,
-    TrainSample,
     TrainingError,
     default_config,
     loss,
     loss_and_grad,
     sample_batch,
-    sample_square_problem,
     square_problem,
     train,
 )
@@ -43,23 +42,52 @@ def _batch(cache, cfg, seed):
     return sample_batch(cfg, cache, np.random.default_rng(seed))
 
 
+def _samples(cache, cfg, seed):
+    """(problem, u*, u0, k) of each sample _batch draws from seed, built the
+    long way: the same draws in sample_batch's order (four sides, an (n, n)
+    start field, k), the sides' own problem, and the start field reset to it."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(cfg.batch):
+        sides = rng.uniform(-1.0, 1.0, size=4)
+        z = rng.standard_normal((cfg.n, cfg.n))
+        k = int(rng.integers(1, cfg.k_max + 1))
+        p = square_problem(cfg.n, sides)
+        out.append((p, cache.solution(sides), reset(z, p), k))
+    return out
+
+
 class TestSampler:
     def test_equal_sides_give_constant_solution(self, cache17):
-        p = square_problem(17, (0.4, 0.4, 0.4, 0.4))
-        us = cache17.solution(p)
+        us = cache17.solution((0.4, 0.4, 0.4, 0.4))
         assert np.abs(us - 0.4).max() < 1e-10
 
-    def test_reproducible(self):
-        a = sample_square_problem(17, np.random.default_rng(5))
-        b = sample_square_problem(17, np.random.default_rng(5))
-        assert np.array_equal(a.b, b.b)
+    def test_reproducible(self, cache17):
+        cfg = default_config("conv3", steps=0)
+        a, b = _batch(cache17, cfg, 5), _batch(cache17, cfg, 5)
+        assert np.array_equal(a.e0, b.e0) and a.ks == b.ks
 
-    def test_sides_in_range_and_f_zero(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            p = sample_square_problem(9, rng)
+    def test_sides_in_range_and_f_zero(self, cache17):
+        cfg = default_config("conv3", steps=0)
+        batch = _batch(cache17, cfg, 6)
+        assert np.all(batch.geometry.f == 0.0) and np.all(batch.geometry.b == 0.0)
+        for p, _, _, _ in _samples(cache17, cfg, 6):
             assert np.all(p.f == 0.0)
             assert np.abs(p.b).max() <= 1.0
+
+    def test_start_errors_equal_reset_construction(self, cache17):
+        cfg = default_config("conv3", steps=0)
+        for seed in (9, 10):
+            batch = _batch(cache17, cfg, seed)
+            samples = _samples(cache17, cfg, seed)
+            ref = np.stack([np.where(p.mask == 1, u0 - us, 0.0) for p, us, u0, _ in samples])
+            assert np.array_equal(batch.e0.view(np.int64), ref.view(np.int64))
+            assert batch.ks == [k for _, _, _, k in samples]
+            assert np.array_equal(batch.geometry.mask, samples[0][0].mask)
+
+    def test_mismatched_start_errors_rejected(self, cache17):
+        with pytest.raises(ValueError, match="do not match"):
+            Batch(cache17.geometry, np.zeros((3, 17, 17)), [1, 2])
 
     def test_corner_precedence(self):
         p = square_problem(9, (0.1, 0.2, 0.3, 0.4))
@@ -69,62 +97,61 @@ class TestSampler:
     def test_maximum_principle(self, cache17):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            p = sample_square_problem(17, rng)
-            us = cache17.solution(p)
-            sides = [p.b[0, 1], p.b[-1, 1], p.b[1, 0], p.b[1, -1]]
+            sides = rng.uniform(-1.0, 1.0, size=4)
+            us = cache17.solution(sides)
             assert us[1:-1, 1:-1].min() >= min(sides) - 1e-10
             assert us[1:-1, 1:-1].max() <= max(sides) + 1e-10
 
     def test_cached_solutions_pass_residual_check(self, cache17):
-        rng = np.random.default_rng(8)
-        p = sample_square_problem(17, rng)
-        us = cache17.solution(p)
-        interior, boundary = residual_norms(p, us)
+        sides = np.random.default_rng(8).uniform(-1.0, 1.0, size=4)
+        us = cache17.solution(sides)
+        interior, boundary = residual_norms(square_problem(17, sides), us)
         assert interior <= 1e-8 and boundary <= 1e-8
 
     def test_start_fields_are_boundary_consistent(self, cache17):
+        # the error of a start field reset to the boundary values is zero there
         cfg = default_config("conv3", steps=0)
-        for s in _batch(cache17, cfg, 9):
-            fixed = s.problem.mask == 0
-            assert np.array_equal(s.u0[fixed], s.problem.b[fixed])
-            assert 1 <= s.k <= cfg.k_max
+        batch = _batch(cache17, cfg, 9)
+        assert batch.e0.shape == (cfg.batch, 17, 17)
+        assert np.all(batch.e0[:, batch.geometry.mask == 0] == 0.0)
+        assert all(1 <= k <= cfg.k_max for k in batch.ks)
 
 
 class TestLoss:
     def test_zero_at_solution(self, cache17):
         cfg = default_config("conv3", steps=0)
-        batch = [TrainSample(s.problem, s.u_star, s.u_star, s.k)
-                 for s in _batch(cache17, cfg, 10)]
+        batch = _batch(cache17, cfg, 10)
+        batch = replace(batch, e0=np.zeros_like(batch.e0))
         assert loss(zero_model("conv3"), batch) < 1e-18
         assert loss(init_model("conv3", 1), batch) < 1e-18
 
     def test_zero_model_equals_plain_sweeps(self, cache17):
         cfg = default_config("conv3", steps=0)
-        batch = _batch(cache17, cfg, 11)
         expected = 0.0
-        for s in batch:
-            u = s.u0
-            for _ in range(s.k):
-                u = jacobi_step(u, s.problem)
-            expected += ((u - s.u_star) ** 2).sum()
-        expected /= len(batch)
-        got = loss(zero_model("conv3"), batch)
+        for p, us, u0, k in _samples(cache17, cfg, 11):
+            u = u0
+            for _ in range(k):
+                u = jacobi_step(u, p)
+            expected += ((u - us) ** 2).sum()
+        expected /= cfg.batch
+        got = loss(zero_model("conv3"), _batch(cache17, cfg, 11))
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
     def test_single_step_hand_composition(self, cache17):
         cfg = default_config("conv3", steps=0)
-        s = _batch(cache17, cfg, 12)[0]
+        p, us, u0, _ = _samples(cache17, cfg, 12)[0]
         m = init_model("conv3", seed=4)
-        psi = jacobi_step(s.u0, s.problem)
-        w = psi - s.u0
-        u1 = psi + np.where(s.problem.mask == 1, apply_H(m, w), 0.0)
-        expected = ((u1 - s.u_star) ** 2).sum()
-        got = loss(m, [TrainSample(s.problem, s.u_star, s.u0, 1)])
+        psi = jacobi_step(u0, p)
+        w = psi - u0
+        u1 = psi + np.where(p.mask == 1, apply_H(m, w), 0.0)
+        expected = ((u1 - us) ** 2).sum()
+        batch = _batch(cache17, cfg, 12)
+        got = loss(m, Batch(batch.geometry, batch.e0[:1], [1]))
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
-    def test_empty_batch_rejected(self):
+    def test_empty_batch_rejected(self, cache17):
         with pytest.raises(ValueError):
-            loss(zero_model("conv1"), [])
+            loss(zero_model("conv1"), Batch(cache17.geometry, np.zeros((0, 17, 17)), []))
 
 
 class TestGrad:
@@ -158,8 +185,8 @@ class TestGrad:
 
     def test_zero_gradient_at_solution(self, cache17):
         cfg = default_config("conv3", steps=0)
-        batch = [TrainSample(s.problem, s.u_star, s.u_star, s.k)
-                 for s in _batch(cache17, cfg, 13)]
+        batch = _batch(cache17, cfg, 13)
+        batch = replace(batch, e0=np.zeros_like(batch.e0))
         _, grads = loss_and_grad(init_model("conv3", seed=3), batch)
         assert max(np.abs(g).max() for g in grads) < 1e-16
 
@@ -168,36 +195,37 @@ class TestGrad:
         batch = _batch(cache17, cfg, 14)
         m = init_model("conv3", seed=5)
         _, g_all = loss_and_grad(m, batch)
-        _, g_a = loss_and_grad(m, batch[:4])
-        _, g_b = loss_and_grad(m, batch[4:])
+        _, g_a = loss_and_grad(m, Batch(batch.geometry, batch.e0[:4], batch.ks[:4]))
+        _, g_b = loss_and_grad(m, Batch(batch.geometry, batch.e0[4:], batch.ks[4:]))
         for ga, gb, gc in zip(g_all, g_a, g_b):
             assert np.abs(ga - 0.5 * (gb + gc)).max() <= 1e-12
 
 
-def _full_batch_unroll(model, batch, error_form=True):
+def _full_batch_unroll(model, batch, samples=None):
     """Loss and gradients with every sample carried to the batch's largest k.
 
     The reference for the retiring unroll: a sample past its k is stepped
     on but adds nothing to the loss, and its adjoint is zero until its k.
-    The error form steps e = M (u0 - u*) on b = 0, f = 0 towards 0, as
-    training does; the data form steps u0 on the sample's own problem
-    towards u*, the objective ||Phi^k(u0) - u*||^2 as first written.
+    The error form steps batch.e0 on b = 0, f = 0 towards 0, as training
+    does; given the batch's samples (see _samples), the data form steps
+    each u0 on its own problem towards u*, the objective
+    ||Phi^k(u0) - u*||^2 as first written.
     """
-    M = np.stack([s.problem.mask.astype(np.float64) for s in batch])
-    u = np.stack([s.u0 for s in batch])
-    ustar = np.stack([s.u_star for s in batch])
-    if error_form:
-        u, ustar = M * (u - ustar), np.zeros_like(u)
+    M = batch.geometry.mask.astype(np.float64)
+    if samples is None:
+        u, ustar = batch.e0, np.zeros_like(batch.e0)
 
         def sweep(v):
             return M * neighbor_mean(v)
     else:
-        bb = np.stack([s.problem.b for s in batch])
-        q = np.stack([0.25 * s.problem.h ** 2 * s.problem.f for s in batch])
+        u = np.stack([u0 for _, _, u0, _ in samples])
+        ustar = np.stack([us for _, us, _, _ in samples])
+        bb = np.stack([p.b for p, _, _, _ in samples])
+        q = np.stack([0.25 * p.h ** 2 * p.f for p, _, _, _ in samples])
 
         def sweep(v):
             return M * (neighbor_mean(v) + q) + (1.0 - M) * bb
-    ks = np.array([s.k for s in batch])
+    ks = np.array(batch.ks)
     value = 0.0
     finals = np.zeros_like(u)
     tapes = []
@@ -211,12 +239,12 @@ def _full_batch_unroll(model, batch, error_form=True):
             finals[done] = u[done]
             diff = u[done] - ustar[done]
             value += float((diff * diff).sum())
-    value /= len(batch)
+    value /= len(ks)
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
     g = np.zeros_like(u)
     for t in range(ks.max(), 0, -1):
         done = ks == t
-        g[done] += (2.0 / len(batch)) * (finals[done] - ustar[done])
+        g[done] += (2.0 / len(ks)) * (finals[done] - ustar[done])
         gw = backward(model, tapes[t - 1], M * g, grads)
         g = neighbor_mean(M * (g + gw)) - gw
     return value, grads
@@ -244,7 +272,7 @@ class TestRetiringUnroll:
     def test_matches_full_batch_unroll(self, cache17, arch, ks):
         m = scale_model(init_model(arch, seed=7), 10.0)
         cfg = TrainConfig(arch=arch, n=17, steps=0)
-        batch = [replace(s, k=k) for s, k in zip(_batch(cache17, cfg, 31), ks)]
+        batch = replace(_batch(cache17, cfg, 31), ks=ks)
         value, grads = loss_and_grad(m, batch)
         ref_value, ref_grads = _full_batch_unroll(m, batch)
         assert value == ref_value
@@ -261,7 +289,7 @@ class TestRetiringUnroll:
         for seed in (31, 34, 35):
             batch = _batch(cache17, cfg, seed)
             value, grads = loss_and_grad(m, batch)
-            ref_value, ref_grads = _full_batch_unroll(m, batch, error_form=False)
+            ref_value, ref_grads = _full_batch_unroll(m, batch, _samples(cache17, cfg, seed))
             assert abs(value - ref_value) <= 1e-10 * ref_value
             for g, r in zip(grads, ref_grads):
                 assert np.abs(g - r).max() <= 1e-10 * np.abs(r).max()
@@ -275,7 +303,7 @@ class TestRetiringUnroll:
 
         monkeypatch.setattr("poisolve.model.forward", counting_forward)
         batch = _batch(cache17, default_config("conv3", steps=0), 32)
-        ks = [s.k for s in batch]
+        ks = batch.ks
         assert sum(ks) < len(ks) * max(ks)
         loss_and_grad(init_model("conv3", seed=1), batch)
         assert len(rows) == max(ks)
@@ -305,21 +333,12 @@ class TestRetiringUnroll:
         m = scale_model(init_model("conv3", seed=0), 1e10)
         p = square_problem(17, (0.0, 0.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
-        batch = [TrainSample(p, np.zeros((17, 17)),
-                             np.where(p.mask == 1, 1e-100 * rng.standard_normal((17, 17)), 0.0), k)
-                 for k in (3, 5, 8)]
+        e0 = np.stack([np.where(p.mask == 1, 1e-100 * rng.standard_normal((17, 17)), 0.0)
+                       for _ in range(3)])
+        batch = Batch(p, e0, [3, 5, 8])
         assert np.isfinite(loss(m, batch))
         with pytest.raises(TrainingError, match="non-finite adjoint at unroll step"):
             loss_and_grad(m, batch)
-
-    def test_mixed_geometries_rejected(self, cache17):
-        batch = _batch(cache17, default_config("conv3", steps=0), 33)
-        s = batch[-1]
-        mask = s.problem.mask.copy()
-        mask[8, 8] = 0
-        batch[-1] = replace(s, problem=make_problem(mask, s.problem.b, s.problem.f))
-        with pytest.raises(ValueError, match="mixes geometries"):
-            loss_and_grad(init_model("conv3", seed=1), batch)
 
 
 class TestTrainLoop:
@@ -331,8 +350,9 @@ class TestTrainLoop:
         for la, lb in zip(model.layers, ref.layers):
             assert np.array_equal(la.weights, lb.weights)
 
-    def test_short_run_learns_and_logs(self):
-        cfg = default_config("conv3", steps=60, seed=3, rho_every=30)
+    def test_short_run_learns_and_logs(self, monkeypatch):
+        monkeypatch.setattr(training, "RHO_EVERY", 30)
+        cfg = default_config("conv3", steps=60, seed=3)
         model, log = train(cfg)
         assert len(log) == 60
         assert log[29].rho_estimate is not None and log[29].rho_estimate < 1.0
@@ -342,7 +362,7 @@ class TestTrainLoop:
     def test_deterministic_model_files(self, tmp_path):
         paths = []
         for run in range(2):
-            cfg = default_config("conv3", steps=25, seed=11, rho_every=0)
+            cfg = default_config("conv3", steps=25, seed=11)
             model, _ = train(cfg)
             path = tmp_path / f"run{run}.model"
             save_model(model, path)
@@ -350,18 +370,29 @@ class TestTrainLoop:
         assert paths[0] == paths[1]
 
     def test_divergent_lr_aborts(self):
-        cfg = default_config("conv3", steps=400, lr=30.0, seed=0, rho_every=0)
+        cfg = default_config("conv3", steps=400, lr=30.0, seed=0)
         with pytest.raises(TrainingError):
             train(cfg)
+
+    def test_grid_checked_before_references(self, monkeypatch):
+        def no_reference(p):
+            raise AssertionError("ground_truth called")
+
+        monkeypatch.setattr(training, "ground_truth", no_reference)
+        with pytest.raises(ValueError, match="incompatible"):
+            train(default_config("unet2", n=400))
+        with pytest.raises(ValueError, match="too small"):
+            default_config("conv3", n=4)
 
     def test_rho_inside_certify_margin_rejected(self, monkeypatch):
         # certify, and so bench, refuses rho > 1 - RHO_VALID_MARGIN (1e-6)
         monkeypatch.setattr(training, "_train_rho", lambda model, p: 1.0 - 1e-7)
         with pytest.raises(TrainingError, match="not contractive"):
-            train(default_config("conv3", steps=1, rho_every=0))
+            train(default_config("conv3", steps=1))
 
-    def test_log_csv_format(self, tmp_path):
-        cfg = default_config("conv3", steps=10, seed=2, rho_every=5)
+    def test_log_csv_format(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "RHO_EVERY", 5)
+        cfg = default_config("conv3", steps=10, seed=2)
         path = tmp_path / "log.csv"
         train(cfg, log_path=path)
         lines = path.read_text().splitlines()
