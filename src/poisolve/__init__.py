@@ -41,10 +41,7 @@ from .model import (
     init_model,
     load_model,
     model_cost,
-    quarter_cross_model,
     save_model,
-    scale_model,
-    zero_model,
 )
 from .spectral import (
     LinearPart,

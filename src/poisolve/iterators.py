@@ -296,7 +296,10 @@ def solve_to_tol(
         scale = initial if initial > 0 else 1.0
 
         def error(u):
-            return residual_norms(p, u)[0] / scale
+            # a diverging iterate overflows the residual; the isfinite check
+            # below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                return residual_norms(p, u)[0] / scale
 
     u = u0
     err = error(u)

@@ -102,28 +102,6 @@ def init_model(arch: str, seed: int) -> CorrectionModel:
     return CorrectionModel(kind, depth, layers)
 
 
-def zero_model(arch: str) -> CorrectionModel:
-    """The H = 0 model: same structure, all kernels zero."""
-    m = init_model(arch, seed=0)
-    for layer in m.layers:
-        layer.weights = np.zeros_like(layer.weights)
-    return m
-
-
-def quarter_cross_model() -> CorrectionModel:
-    """Single layer holding the quarter-cross kernel, i.e. the linear part of
-    a Jacobi sweep. Wrapping Jacobi with this model reproduces two sweeps."""
-    k = np.zeros((1, 1, 3, 3))
-    k[0, 0] = [[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]]
-    return CorrectionModel("conv", 1, [ConvLayer(1, False, k)])
-
-
-def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
-    """Copy of m with every kernel multiplied by factor."""
-    layers = [ConvLayer(L.stride, L.transposed, factor * L.weights) for L in m.layers]
-    return CorrectionModel(m.arch, m.depth, layers)
-
-
 # ------------------------------------------------------------------
 # Forward / backward through the net. The tape holds each layer's input,
 # one entry per layer; skip branches are matched LIFO, mirroring the

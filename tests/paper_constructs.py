@@ -11,6 +11,10 @@ these dense realizations in tests/test_spectral.py:
     wrapped step (:func:`oracle_correction`).
 
 All of them build n^2 x n^2 matrices, so they suit small grids only.
+
+Three model constructs ride along: the H = 0 model, the single-layer
+quarter-cross model (the linear part of a Jacobi sweep) and a scaled copy
+of a model, used to push a net past divergence.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 from poisolve.grid import Field, Problem
 from poisolve.iterators import Iterator, JacobiIterator
+from poisolve.model import ConvLayer, CorrectionModel, init_model
 from poisolve.spectral import linear_part, materialize_dense
 
 
@@ -104,3 +109,25 @@ def oracle_correction(p: Problem, base: Iterator | None = None) -> OneStepOracle
             "I - T is singular, so the base iterator cannot have spectral radius < 1"
         ) from exc
     return OneStepOracle(R=R, T=T, problem=p, base=base)
+
+
+def zero_model(arch: str) -> CorrectionModel:
+    """The H = 0 model: same structure, all kernels zero."""
+    m = init_model(arch, seed=0)
+    for layer in m.layers:
+        layer.weights = np.zeros_like(layer.weights)
+    return m
+
+
+def quarter_cross_model() -> CorrectionModel:
+    """Single layer holding the quarter-cross kernel, i.e. the linear part of
+    a Jacobi sweep. Wrapping Jacobi with this model reproduces two sweeps."""
+    k = np.zeros((1, 1, 3, 3))
+    k[0, 0] = [[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]]
+    return CorrectionModel("conv", 1, [ConvLayer(1, False, k)])
+
+
+def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
+    """Copy of m with every kernel multiplied by factor."""
+    layers = [ConvLayer(L.stride, L.transposed, factor * L.weights) for L in m.layers]
+    return CorrectionModel(m.arch, m.depth, layers)

@@ -10,7 +10,9 @@ from poisolve.bench import (
     run_benchmark,
     write_bench_csv,
 )
-from poisolve.model import init_model, scale_model, zero_model
+from poisolve.model import init_model
+
+from paper_constructs import scale_model, zero_model
 
 
 class TestBenchPlumbing:

@@ -7,8 +7,10 @@ import pytest
 from poisolve import cli, spectral
 from poisolve.cli import build_parser, main
 from poisolve.iterators import ReferenceSolveError
-from poisolve.model import save_model, zero_model
+from poisolve.model import init_model, save_model
 from poisolve.training import TrainingError, default_config, train
+
+from paper_constructs import scale_model, zero_model
 
 
 def run(capsys, *argv):
@@ -109,8 +111,6 @@ class TestTrainBench:
         assert code == 2 and "--model" in err
 
     def test_bench_uncertified_model_exits_2(self, tmp_path, capsys):
-        from poisolve.model import init_model, scale_model
-
         bad = scale_model(init_model("conv3", seed=0), 100.0)
         path = tmp_path / "bad.model"
         save_model(bad, path)

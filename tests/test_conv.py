@@ -12,6 +12,7 @@ from poisolve.conv import (
 )
 
 SINGLE_SHAPES = [(1, 3, 3), (8, 17, 17), (5, 65, 65)]
+QUARTER_CROSS = np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]])
 
 
 def _padded(x):
@@ -20,24 +21,31 @@ def _padded(x):
     return xp
 
 
-def _ref_conv_single(x, w):
-    """Stride-1 forward as the 9-tap strided multiply-add."""
-    _, H, W = x.shape
+def _view(xp, di, dj, stride, Ho, Wo):
+    """The (B, Ho, Wo) view of padded xp that tap (di, dj) meets."""
+    return xp[:, di:di + stride * (Ho - 1) + 1:stride,
+              dj:dj + stride * (Wo - 1) + 1:stride]
+
+
+def _ref_conv(x, w, stride):
+    """Forward as the 9-tap multiply-add over strided views."""
+    B, H, W = x.shape
+    Ho, Wo = (H - 1) // stride + 1, (W - 1) // stride + 1
     xp = _padded(x)
-    out = np.zeros(x.shape)
+    out = np.zeros((B, Ho, Wo))
     for di in range(3):
         for dj in range(3):
-            out += w[di, dj] * xp[:, di:di + H, dj:dj + W]
+            out += w[di, dj] * _view(xp, di, dj, stride, Ho, Wo)
     return out
 
 
-def _ref_input_grad_single(gy, w):
-    """Stride-1 adjoint as the 9-tap strided scatter-add."""
-    _, H, W = gy.shape
-    gxp = np.zeros(gy.shape[:1] + (H + 2, W + 2))
+def _ref_input_grad(gy, w, stride, in_hw):
+    """Adjoint as the 9-tap scatter-add into strided views."""
+    B, Ho, Wo = gy.shape
+    gxp = np.zeros((B, in_hw[0] + 2, in_hw[1] + 2))
     for di in range(3):
         for dj in range(3):
-            gxp[:, di:di + H, dj:dj + W] += w[di, dj] * gy
+            _view(gxp, di, dj, stride, Ho, Wo)[...] += w[di, dj] * gy
     return gxp[:, 1:-1, 1:-1]
 
 
@@ -48,9 +56,7 @@ def _ref_weight_grad(x, gy, stride):
     gw = np.zeros((3, 3))
     for di in range(3):
         for dj in range(3):
-            xs = xp[:, di:di + stride * (Ho - 1) + 1:stride,
-                    dj:dj + stride * (Wo - 1) + 1:stride]
-            gw[di, dj] = (xs * gy).sum()
+            gw[di, dj] = (_view(xp, di, dj, stride, Ho, Wo) * gy).sum()
     return gw
 
 
@@ -75,8 +81,8 @@ def _data(shape, seed):
 def test_single_channel_forward_matches_strided_formula(shape):
     x = _data(shape, 0)
     w = np.random.default_rng(1).standard_normal((3, 3))
-    assert _same_bits(conv2d(x, w), _ref_conv_single(x, w))
-    assert _same_bits(conv2d(x, w, 1), _ref_conv_single(x, w))
+    assert _same_bits(conv2d(x, w), _ref_conv(x, w, 1))
+    assert _same_bits(conv2d(x, w, 1), _ref_conv(x, w, 1))
 
 
 @pytest.mark.parametrize("shape", SINGLE_SHAPES)
@@ -84,26 +90,38 @@ def test_single_channel_input_grad_matches_strided_formula(shape):
     gy = _data(shape, 2)
     w = np.random.default_rng(3).standard_normal((3, 3))
     assert _same_bits(conv2d_input_grad(gy, w, 1, shape[1:]),
-                      _ref_input_grad_single(gy, w))
+                      _ref_input_grad(gy, w, 1, shape[1:]))
 
 
 def test_single_channel_kernel_with_zero_taps():
     # the quarter-cross kernel: over the -0.0 block every product is -0.0
     x = _data((4, 17, 17), 4)
-    w = np.array([[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]])
-    assert _same_bits(conv2d(x, w), _ref_conv_single(x, w))
-    assert _same_bits(conv2d_input_grad(x, w, 1, (17, 17)), _ref_input_grad_single(x, w))
+    gy = _data((4, 9, 9), 17)
+    w = QUARTER_CROSS
+    assert _same_bits(conv2d(x, w), _ref_conv(x, w, 1))
+    assert _same_bits(conv2d_input_grad(x, w, 1, (17, 17)), _ref_input_grad(x, w, 1, (17, 17)))
+    assert _same_bits(conv2d(x, w, 2), _ref_conv(x, w, 2))
+    assert _same_bits(conv2d_input_grad(gy, w, 2, (17, 17)),
+                      _ref_input_grad(gy, w, 2, (17, 17)))
+    assert _same_bits(transposed_conv2d(gy, w, 2), _ref_input_grad(gy, w, 2, (17, 17)))
 
 
 def test_fields_of_a_stack_stay_separate():
     # the flat runs read across field borders only into dropped cells
     x = _data((3, 17, 17), 5)
     x[1] = np.nan
+    coarse = x[:, ::2, ::2]
     w = np.random.default_rng(6).standard_normal((3, 3))
-    for out in (conv2d(x, w), conv2d_input_grad(x, w, 1, (17, 17))):
+    cases = [(x, lambda a: conv2d(a, w)),
+             (x, lambda a: conv2d_input_grad(a, w, 1, (17, 17))),
+             (x, lambda a: conv2d(a, w, 2)),
+             (coarse, lambda a: conv2d_input_grad(a, w, 2, (17, 17))),
+             (coarse, lambda a: transposed_conv2d(a, w, 2))]
+    for a, layer in cases:
+        out = layer(a)
         assert np.isnan(out[1]).all()
         assert np.isfinite(out[[0, 2]]).all()
-    assert _same_bits(conv2d(x, w)[[0, 2]], conv2d(x[[0, 2]], w))
+        assert _same_bits(out[[0, 2]], layer(a[[0, 2]]))
 
 
 @pytest.mark.parametrize("shape", SINGLE_SHAPES)
@@ -116,7 +134,7 @@ def test_single_channel_weight_grad_matches_einsum(shape):
     assert np.abs(gw - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("n", [9, 17, 65])
+@pytest.mark.parametrize("n", [9, 17, 65, 16])
 def test_stride2_weight_grad_matches_sum(n):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, n, n))
@@ -125,6 +143,38 @@ def test_stride2_weight_grad_matches_sum(n):
     gw = conv2d_weight_grad(x, gy, 2)
     assert gw.shape == (3, 3)
     assert np.abs(gw - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# square sizes with their coarse grid (n-1)/2 + 1, one of them even, and
+# one rectangle
+STRIDE2_SHAPES = [(9, 9), (17, 17), (65, 65), (16, 16), (9, 16)]
+
+
+def _coarse(hw):
+    return tuple((k - 1) // 2 + 1 for k in hw)
+
+
+@pytest.mark.parametrize("hw", STRIDE2_SHAPES)
+def test_stride2_forward_matches_strided_formula(hw):
+    x = _data((4, *hw), 10)
+    w = np.random.default_rng(11).standard_normal((3, 3))
+    assert _same_bits(conv2d(x, w, 2), _ref_conv(x, w, 2))
+
+
+@pytest.mark.parametrize("hw", STRIDE2_SHAPES)
+def test_stride2_input_grad_matches_scatter(hw):
+    gy = _data((4, *_coarse(hw)), 12)
+    w = np.random.default_rng(13).standard_normal((3, 3))
+    assert _same_bits(conv2d_input_grad(gy, w, 2, hw), _ref_input_grad(gy, w, 2, hw))
+
+
+@pytest.mark.parametrize("hw", STRIDE2_SHAPES)
+def test_transposed_matches_scatter(hw):
+    # upsampling m -> 2m - 1 is the stride-2 adjoint onto the fine grid
+    x = _data((4, *_coarse(hw)), 14)
+    w = np.random.default_rng(15).standard_normal((3, 3))
+    fine = tuple(2 * k - 1 for k in x.shape[1:])
+    assert _same_bits(transposed_conv2d(x, w, 2), _ref_input_grad(x, w, 2, fine))
 
 
 def _adjoint_gap(ax, y, x, aty):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +32,12 @@ from poisolve.iterators import (
     restrict_full_weighting,
     solve_to_tol,
 )
-from poisolve.model import init_model
+from poisolve.model import PhiIterator, init_model, load_model
 
 from conftest import neighbor_mean, padded_laplacian, square_problem
+from paper_constructs import scale_model
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
 
 class TestJacobiStep:
@@ -218,6 +222,19 @@ class TestSolveToTol:
         with pytest.raises(ValueError, match="shape mismatch"):
             solve_to_tol(JacobiIterator(), p17, np.zeros((17, 17)), 1e-2, 10,
                          u_star=np.zeros((9, 9)))
+
+    @pytest.mark.parametrize("arch", ["conv3", "unet2"])
+    def test_divergent_solve_reports_inf(self, arch):
+        # the shipped kernels scaled by 10 diverge, and no overflow may warn;
+        # unet2's overflowing iterates also pass its stride-2 and transposed layers
+        model = scale_model(load_model(MODELS / f"{arch}.model"), 10.0)
+        p = generate(GeometrySpec(kind="lshape", n=33))
+        u0 = reset(np.random.default_rng(0).standard_normal((33, 33)), p)
+        for u_star in (None, ground_truth(p)):
+            _, rep = solve_to_tol(PhiIterator(JacobiIterator(), model), p, u0, 1e-6, 3000,
+                                  u_star=u_star)
+            assert not rep.converged
+            assert rep.final_relative_error == float("inf")
 
     def test_cost_accumulation(self, p17):
         rng = np.random.default_rng(6)

@@ -10,13 +10,11 @@ from poisolve.model import (
     load_model,
     model_cost,
     parse_arch,
-    quarter_cross_model,
     save_model,
-    scale_model,
-    zero_model,
 )
 
 from conftest import square_problem
+from paper_constructs import quarter_cross_model, scale_model, zero_model
 
 _HEAD = "arch conv depth 1 channels 1\n"
 _LAYER = "layer 0 in 1 out 1 stride 1 transposed 0\n"

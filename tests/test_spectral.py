@@ -12,13 +12,7 @@ from poisolve.iterators import (
     jacobi_step,
     solve_to_tol,
 )
-from poisolve.model import (
-    PhiIterator,
-    apply_H,
-    init_model,
-    quarter_cross_model,
-    scale_model,
-)
+from poisolve.model import PhiIterator, apply_H, init_model
 from poisolve.spectral import (
     FIXED_POINT_TOL,
     LinearPart,
@@ -35,6 +29,8 @@ from paper_constructs import (
     convexity_probe,
     mask_matrix,
     oracle_correction,
+    quarter_cross_model,
+    scale_model,
     wrapped_linear_matrix,
 )
 

@@ -13,8 +13,6 @@ from poisolve.model import (
     forward,
     init_model,
     save_model,
-    scale_model,
-    zero_model,
 )
 from poisolve.spectral import homogeneous
 from poisolve.training import (
@@ -31,6 +29,7 @@ from poisolve.training import (
 )
 
 from conftest import neighbor_mean
+from paper_constructs import scale_model, zero_model
 
 
 @pytest.fixture(scope="module")
