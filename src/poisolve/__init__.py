@@ -22,6 +22,7 @@ from .grid import (
     make_problem,
     relative_error,
     reset,
+    residual,
     residual_norms,
     save_field,
     save_problem,

@@ -131,11 +131,10 @@ def cmd_bench(args) -> int:
         )
     except bench_mod.BenchError as exc:
         raise CliError(str(exc))
-    print(",".join(bench_mod.BENCH_COLUMNS))
-    for r in results:
-        print(",".join(bench_mod.format_bench_row(r)))
+    bench_mod.write_bench_csv(results, sys.stdout)
     if args.report:
-        bench_mod.write_bench_csv(results, args.report)
+        with open(args.report, "w", newline="") as fh:
+            bench_mod.write_bench_csv(results, fh)
     if not all(r.converged for r in results):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -13,25 +13,26 @@ at interior cells (i.e. -laplacian(u) = f) together with u = b on boundary
 cells. The sign is fixed by the averaging sweep in :mod:`poisolve.iterators`,
 whose fixed point must satisfy the residual definition below.
 
-All 5-point arithmetic (the sweeps, the V-cycle residual, laplacian_apply,
-and so residual_norms and the training adjoint) runs one kernel,
-:func:`_stencil`; only iterators.dense_system builds its matrix apart. It
-views a field, or a stack of fields, as one flat run of cells in row
-order, so the four neighbours of each cell in rows 1..n-2 of its field are
-contiguous slices at offsets -n, +n, -1, +1, summed N + S, + W, + E into
-the output buffer with no padded copy. Columns 0 and n-1 then hold wrapped
-values and rows 0 and n-1 values read across fields or none; every cell
-with mask != 1 is then overwritten. This relies on the outermost frame
-always being boundary (mask = 0), which make_problem enforces and
-dataclasses.replace keeps. Interior cells see the same operations in the
-same order as the zero-padded slice formulas, so results match those bit
-for bit (the tests hold them as references).
+All 5-point arithmetic runs one kernel, :func:`_stencil`: the sweeps (and
+so the training adjoint) and :func:`residual`, the one f - A u, whose
+update laplacian_apply shares; only iterators.dense_system builds its
+matrix apart. It views a field, or a stack of fields, as one flat run of
+cells in row order, so the four neighbours of each cell in rows 1..n-2 of
+its field are contiguous slices at offsets -n, +n, -1, +1, summed N + S,
++ W, + E into the output buffer with no padded copy. Columns 0 and n-1
+then hold wrapped values and rows 0 and n-1 values read across fields or
+none; every cell with mask != 1 is then overwritten. This relies on the
+outermost frame always being boundary (mask = 0), which make_problem
+enforces and dataclasses.replace keeps. Interior cells see the same
+operations in the same order as the zero-padded slice formulas, so results
+match those bit for bit (the tests hold them as references).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -153,6 +154,14 @@ def _stencil(u: Field, mask: np.ndarray, f, update, frame) -> Field:
     return out
 
 
+def _residual_update(h: float, s, uc, fs, fc) -> None:
+    """_stencil's update to f - A u; with no f, to -A u, the Laplacian."""
+    s -= 4.0 * uc
+    s /= h * h
+    if fc is not None:
+        fs += fc
+
+
 def laplacian_apply(u: Field, h: float) -> Field:
     """5-point discrete Laplacian, zero on the outermost frame.
 
@@ -165,12 +174,15 @@ def laplacian_apply(u: Field, h: float) -> Field:
         raise ValueError(f"need a square grid of size >= 3, got shape {u.shape}")
     inside = np.zeros(u.shape[-2:], dtype=bool)
     inside[1:-1, 1:-1] = True
+    return _stencil(u, inside, None, partial(_residual_update, h), 0.0)
 
-    def update(s, uc, fs, fc):
-        s -= 4.0 * uc
-        s /= h * h
 
-    return _stencil(u, inside, None, update, 0.0)
+def residual(u: Field, p: Problem) -> Field:
+    """f - A u at interior cells (A = -discrete laplacian), zero elsewhere.
+
+    u may be a stack, shape (..., n, n); p.f broadcasts against it.
+    """
+    return _stencil(u, p.mask, p.f, partial(_residual_update, p.h), 0.0)
 
 
 def reset(u: Field, p: Problem) -> Field:
@@ -183,13 +195,12 @@ def reset(u: Field, p: Problem) -> Field:
 def residual_norms(p: Problem, u: Field) -> tuple[float, float]:
     """Max-norm equation residual at interior cells and boundary violation.
 
-    interior: max |(-laplacian u)[i,j] - f[i,j]| over mask == 1
+    interior: max |residual(u, p)| = max |(-laplacian u) - f| over mask == 1
     boundary: max |u[i,j] - b[i,j]| over mask == 0
     """
     if u.shape != (p.n, p.n):
         raise ValueError(f"field shape {u.shape} does not match problem n={p.n}")
-    au = -laplacian_apply(u, p.h)
-    interior = float(np.abs(np.where(p.mask == 1, au - p.f, 0.0)).max())
+    interior = float(np.abs(residual(u, p)).max())
     boundary = float(np.abs(np.where(p.mask == 0, u - p.b, 0.0)).max())
     return interior, boundary
 

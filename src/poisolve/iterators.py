@@ -11,8 +11,8 @@ frequency square), and those are exactly the modes the coarse grid
 cannot represent, so an undamped cycle contracts no faster than its
 sweeps alone. The standalone Jacobi iterator stays undamped.
 
-The plain and damped sweeps and the V-cycle residual are thin callers of
-the package's one 5-point kernel, :func:`poisolve.grid._stencil`. When f
+The sweeps are thin callers of the package's one 5-point kernel, and
+every f - A u here is :func:`poisolve.grid.residual`. When f
 has no nonzero cell (a homogeneous problem, as every training and
 certification step runs on; Problem.has_source, set when a problem is
 built) the sweeps skip adding (h^2/4) f, which changes no value: only an
@@ -50,6 +50,7 @@ from .grid import (
     l2_norm,
     make_problem,
     reset,
+    residual,
     residual_norms,
 )
 
@@ -177,19 +178,6 @@ def coarsen_mask(mask: np.ndarray) -> np.ndarray:
     return mask[::2, ::2].copy()
 
 
-def _interior_residual_field(u: Field, p: Problem) -> Field:
-    """f - A u at interior cells (A = -discrete laplacian), zero elsewhere.
-
-    The same arithmetic as p.f + grid.laplacian_apply(u, p.h).
-    """
-    def update(s, uc, fs, fc):
-        s -= 4.0 * uc
-        s /= p.h * p.h
-        fs += fc
-
-    return _stencil(u, p.mask, p.f, update, 0.0)
-
-
 class MultigridIterator(Iterator):
     """Geometric multigrid V-cycle in residual-correction form.
 
@@ -241,7 +229,7 @@ class MultigridIterator(Iterator):
             return u
         for _ in range(PRE_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
-        r = _interior_residual_field(u, p)
+        r = residual(u, p)
         pc = coarse[level]
         fc = np.where(pc.mask == 1, restrict_full_weighting(r), 0.0)
         # the cached level with the restricted residual as its source; fc
@@ -275,8 +263,8 @@ def solve_to_tol(
 
     With u_star: stop when grid.relative_error(u, u_star) <= threshold,
                  with ||u*|| computed once per solve.
-    Without:     stop when the interior residual drops below
-                 threshold * (initial interior residual).
+    Without:     stop when max |grid.residual(u, p)| drops below threshold
+                 times that of u0 (an Iterator keeps the boundary exact).
     Exceeding max_steps is reported via converged=False, not raised.
     """
     if threshold <= 0:
@@ -292,14 +280,14 @@ def solve_to_tol(
             diff = l2_norm(u - u_star)
             return diff / denom if denom > 0 else diff
     else:
-        initial = residual_norms(p, u0)[0]
+        initial = residual_norms(p, u0)[0]  # which also checks u0's shape
         scale = initial if initial > 0 else 1.0
 
         def error(u):
             # a diverging iterate overflows the residual; the isfinite check
             # below reports it
             with np.errstate(over="ignore", invalid="ignore"):
-                return residual_norms(p, u)[0] / scale
+                return float(np.abs(residual(u, p)).max()) / scale
 
     u = u0
     err = error(u)
@@ -388,7 +376,7 @@ def _pcg(r: Field, p: Problem, precondition) -> Field:
         if not rz > 0:
             raise ReferenceSolveError(
                 f"preconditioner is not positive definite (r.z = {rz:.3e})")
-        q = -_interior_residual_field(d, unforced)
+        q = -residual(d, unforced)
         alpha = rz / float(np.vdot(d, q))
         e += alpha * d
         r = r - alpha * q
@@ -430,7 +418,7 @@ def ground_truth(p: Problem) -> Field:
         precondition = _preconditioner(p)
         u = reset(np.zeros((p.n, p.n)), p)
         for _ in range(REFERENCE_RESTARTS):
-            r = _interior_residual_field(u, p)
+            r = residual(u, p)
             if float(np.abs(r).max()) <= REFERENCE_TOL:
                 break
             u = u + _pcg(r, p, precondition)

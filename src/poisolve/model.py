@@ -61,9 +61,6 @@ class CorrectionModel:
         """
         return depth_fault(n, self.depth if self.arch == "unet" else 0)
 
-    def compatible(self, n: int) -> bool:
-        return self._fault(n) is None
-
     def check_compatible(self, n: int) -> None:
         fault = self._fault(n)
         if fault is not None:

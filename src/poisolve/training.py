@@ -61,8 +61,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_max < 1 or self.batch < 1 or self.lr <= 0 or self.steps < 0:
-            raise ValueError("invalid training configuration")
+        for name, bad in (("k_max", self.k_max < 1), ("batch", self.batch < 1),
+                          ("lr", not self.lr > 0), ("steps", self.steps < 0)):
+            if bad:
+                raise ValueError(f"invalid training configuration: "
+                                 f"{name} = {getattr(self, name)}")
         if self.n < 5:
             raise ValueError(f"training grid too small: n = {self.n}")
 
@@ -260,7 +263,7 @@ def _train_rho(model: CorrectionModel, p: Problem) -> float:
     return spectral_radius(lp, mode="dense" if p.n <= DENSE_MAX_N else "arnoldi")
 
 
-def train(cfg: TrainConfig, log_path=None):
+def train(cfg: TrainConfig):
     """Run the optimizer; returns (model, log rows).
 
     Fully reproducible from cfg.seed. Aborts with TrainingError on
@@ -294,8 +297,6 @@ def train(cfg: TrainConfig, log_path=None):
             raise TrainingError(
                 f"trained iterator is not contractive (rho = {final_rho:.6f})",
                 step=cfg.steps, log=log)
-    if log_path is not None:
-        write_log(log, log_path)
     return model, log
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poisolve import bench
 from poisolve.bench import (
     BenchError,
     baseline_for,
@@ -57,7 +58,8 @@ class TestBenchRuns:
 
     def test_csv_round_trip(self, zero_results, tmp_path):
         path = tmp_path / "bench.csv"
-        write_bench_csv(zero_results, path)
+        with open(path, "w", newline="") as fh:
+            write_bench_csv(zero_results, fh)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("model,baseline,setting,n,")
         assert len(lines) == 2
@@ -69,6 +71,12 @@ class TestBenchRuns:
         assert [format_bench_row(r) for r in again] == \
                [format_bench_row(r) for r in zero_results]
 
-    def test_unknown_setting_rejected(self):
-        with pytest.raises(ValueError, match="unknown setting"):
-            run_benchmark(zero_model("conv1"), suite=("triangle",), n=17)
+    def test_unknown_setting_rejected(self, monkeypatch):
+        # before the certificate, which takes seconds on a U-net
+        def no_certificate(model):
+            raise AssertionError("certify_for_bench called")
+
+        monkeypatch.setattr(bench, "certify_for_bench", no_certificate)
+        for suite in (("triangle",), ("square", "triangle")):
+            with pytest.raises(ValueError, match="unknown setting 'triangle'"):
+                run_benchmark(zero_model("conv1"), suite=suite, n=17)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poisolve import bench as bench_mod
 from poisolve import cli, spectral
 from poisolve.cli import build_parser, main
 from poisolve.iterators import ReferenceSolveError
@@ -105,6 +106,28 @@ class TestTrainBench:
                            str(tmp_path / "m.model"))
         assert code == 3
         assert err.startswith("error: step 3: training diverged")
+
+    @pytest.mark.parametrize("field,value", [("batch", "0"), ("lr", "nan")])
+    def test_train_config_error_names_its_field(self, tmp_path, capsys, field, value):
+        code, _, err = run(capsys, "train", "--arch", "conv3", f"--{field}", value,
+                           "--out", str(tmp_path / "m.model"))
+        assert code == 2
+        assert err == f"error: invalid training configuration: {field} = {value}\n"
+
+    def test_bench_report_equals_stdout(self, tmp_path, monkeypatch, capsys):
+        rows = [bench_mod.BenchResult("conv3", "jacobi", s, 65, 10, 30, 400, 500,
+                                      ratio, ratio, ratio is not None)
+                for s, ratio in (("square", 1 / 3), ("lshape", None))]
+        monkeypatch.setattr(bench_mod, "run_benchmark", lambda model, **kw: rows)
+        mp, report = tmp_path / "m.model", tmp_path / "bench.csv"
+        save_model(zero_model("conv3"), mp)
+        code, out, _ = run(capsys, "bench", "--model", str(mp), "--report", str(report))
+        assert code == 3  # the lshape row did not converge
+        assert report.read_bytes() == out.encode()
+        assert out.splitlines()[1:] == [
+            "conv3,jacobi,square,65,10,30,400,500,0.333333,0.333333,1",
+            "conv3,jacobi,lshape,65,10,30,400,500,,,0"]
+        assert out.endswith("0\n") and "\r" not in out
 
     def test_bench_without_model_exits_2(self, capsys):
         code, _, err = run(capsys, "bench")

@@ -15,9 +15,10 @@ from poisolve.grid import (
     save_field,
     save_problem,
 )
+from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.iterators import ground_truth
 
-from conftest import square_problem
+from conftest import padded_laplacian, square_problem
 
 
 class TestLaplacian:
@@ -132,6 +133,37 @@ class TestResidualNorms:
             # any perturbation of an interior cell breaks it
             u[3, 3] += 1e-3
             assert residual_norms(p, u)[0] > 1e-5
+
+
+    @pytest.mark.parametrize("n", [9, 17, 33, 65])
+    def test_interior_matches_padded_formula(self, n):
+        """The interior norm reads grid.residual, f + L u; bit for bit it is
+        max |(-L u) - f| over the interior, also on -0.0, NaN and +-inf
+        cells, since |(-L u) - f| = |L u + f| in round-to-nearest."""
+        rng = np.random.default_rng(n)
+        masks = [generate(GeometrySpec(kind=k, n=n, seed=1)).mask for k in SETTINGS]
+        masks += [random_geometry(n, rng).mask for _ in range(3)]
+        bits = lambda x: np.array(x, dtype=np.float64).view(np.int64)  # noqa: E731
+        for k, mask in enumerate(masks):
+            h = None if k < len(SETTINGS) else 0.3 / (n - 1)  # h*h rounds
+            p = make_problem(mask, rng.standard_normal((n, n)),
+                             rng.standard_normal((n, n)), h=h)
+            outside = mask == 0
+            fields = [rng.standard_normal((n, n)) for _ in range(6)]
+            fields[1][rng.random((n, n)) < 0.5] = -0.0
+            fields[2][rng.random((n, n)) < 0.05] = np.nan
+            fields[3][outside] = np.inf  # interior cells next to it read inf
+            fields[4][outside] = -np.inf
+            fields[5][rng.random((n, n)) < 0.05] = np.inf
+            fields[5][rng.random((n, n)) < 0.05] = -np.inf
+            cases = [(p, u) for u in fields]
+            cases.append((replace(p, f=np.full((n, n), -0.0)), np.full((n, n), -0.0)))
+            for q, u in cases:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    au = -padded_laplacian(u, q.h)
+                    old = float(np.abs(np.where(q.mask == 1, au - q.f, 0.0)).max())
+                    new = residual_norms(q, u)[0]
+                assert bits(new) == bits(old)
 
 
 class TestRelativeError:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from poisolve.grid import (
     make_problem,
     relative_error,
     reset,
+    residual,
     residual_norms,
 )
 from poisolve.iterators import (
@@ -22,7 +24,6 @@ from poisolve.iterators import (
     MultigridIterator,
     ReferenceSolveError,
     _deepest_depth,
-    _interior_residual_field,
     _preconditioner,
     damped_jacobi_step,
     dense_system,
@@ -35,7 +36,7 @@ from poisolve.iterators import (
 from poisolve.model import PhiIterator, init_model, load_model
 
 from conftest import neighbor_mean, padded_laplacian, square_problem
-from paper_constructs import scale_model
+from paper_constructs import quarter_cross_model, scale_model
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
@@ -141,7 +142,12 @@ class TestMultigrid:
             mg_fits = False
         assert mg_fits == fits
         assert (_deepest_depth(n) >= depth) == fits
-        assert init_model(f"unet{depth}", seed=0).compatible(n) == fits
+        try:
+            init_model(f"unet{depth}", seed=0).check_compatible(n)
+            net_fits = True
+        except ValueError:
+            net_fits = False
+        assert net_fits == fits
 
     def test_vcycle_cost_sums_levels(self, ):
         p = square_problem(17)
@@ -236,6 +242,24 @@ class TestSolveToTol:
             assert not rep.converged
             assert rep.final_relative_error == float("inf")
 
+    @pytest.mark.parametrize("solver", ["jacobi", "mg2", "quarter_cross", "conv3x10"])
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_residual_mode_matches_reference_stopping_test(self, solver, kind):
+        # conv3x10 diverges: inf, and no overflow may warn
+        it = {"jacobi": JacobiIterator(), "mg2": MultigridIterator(2),
+              "quarter_cross": PhiIterator(JacobiIterator(), quarter_cross_model()),
+              "conv3x10": PhiIterator(JacobiIterator(), scale_model(
+                  load_model(MODELS / "conv3.model"), 10.0))}[solver]
+        p = generate(GeometrySpec(kind=kind, n=33, seed=0))
+        u0 = reset(np.random.default_rng(3).standard_normal((33, 33)), p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, rep = solve_to_tol(it, p, u0, 1e-3, 5000)
+        ref_u, steps, err = _ref_residual_solve(it, p, u0, 1e-3, 5000)
+        assert rep.iterations == steps and _same_bits(u, ref_u)
+        assert rep.final_relative_error == err
+        assert rep.converged == (solver != "conv3x10")
+
     def test_cost_accumulation(self, p17):
         rng = np.random.default_rng(6)
         u0 = rng.standard_normal((17, 17))
@@ -243,6 +267,27 @@ class TestSolveToTol:
         _, rep = solve_to_tol(JacobiIterator(), p17, u0, 0.05, 100000, u_star=us)
         assert rep.conv_layers == rep.iterations
         assert rep.mul_adds == rep.iterations * 4 * 15 * 15
+
+
+def _ref_residual_solve(it, p, u0, threshold, max_steps):
+    """solve_to_tol's residual mode over the padded formula: the stopping
+    norm is max |(-laplacian u) - f| over the interior, with the boundary
+    violation left out. Returns (u, iterations, final error)."""
+    def interior(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            au = -padded_laplacian(u, p.h)
+            return float(np.abs(np.where(p.mask == 1, au - p.f, 0.0)).max())
+
+    initial = interior(u0)
+    scale = initial if initial > 0 else 1.0
+    u, steps, err = u0, 0, interior(u0) / scale
+    while err > threshold and steps < max_steps:
+        u = it.step(u, p)
+        steps += 1
+        err = interior(u) / scale
+        if not np.isfinite(err):
+            break
+    return u, steps, err if np.isfinite(err) else float("inf")
 
 
 class TestGroundTruth:
@@ -416,7 +461,7 @@ KERNELS = {
                lambda u, p: _ref_damped(u, p, 2.0 / 3.0)),
     "damped_half": (lambda u, p: damped_jacobi_step(u, p, 0.5),
                     lambda u, p: _ref_damped(u, p, 0.5)),
-    "residual": (_interior_residual_field, _ref_residual),
+    "residual": (residual, _ref_residual),
     "laplacian": (lambda u, p: laplacian_apply(u, p.h),
                   lambda u, p: padded_laplacian(u, p.h)),
 }
@@ -471,7 +516,7 @@ class TestFlatStencil:
         for kernel in ("jacobi", "damped"):
             out = KERNELS[kernel][0](u, p)
             assert np.array_equal(out[p.mask == 0], p.b[p.mask == 0])
-        assert np.all(_interior_residual_field(u, p)[p.mask == 0] == 0.0)
+        assert np.all(residual(u, p)[p.mask == 0] == 0.0)
 
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("n", [17, 65])

@@ -26,6 +26,7 @@ from poisolve.training import (
     sample_batch,
     square_problem,
     train,
+    write_log,
 )
 
 from conftest import neighbor_mean
@@ -393,7 +394,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "RHO_EVERY", 5)
         cfg = default_config("conv3", steps=10, seed=2)
         path = tmp_path / "log.csv"
-        train(cfg, log_path=path)
+        _, log = train(cfg)
+        write_log(log, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,loss,rho_estimate,wall_seconds"
         assert len(lines) == 11
