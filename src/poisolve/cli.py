@@ -1,7 +1,7 @@
 """Command-line surface: gen | train | solve | spectral | bench.
 
-Exit codes: 0 success, 2 validation failure (bad inputs, invariant
-violations, uncertified models), 3 non-convergence: a solve that misses
+Exit codes: 0 success, 2 validation failure (a ValueError or OSError: bad
+inputs, invariant violations, uncertified models), 3 non-convergence: a solve that misses
 its tolerance, a reference solution that cannot be computed
 (iterators.ReferenceSolveError) or a training run that diverges
 (training.TrainingError). Every error is printed as ``error: ...``.
@@ -38,12 +38,6 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
-
-
 def _build_solver(name: str, model_path) -> Iterator:
     if name == "jacobi":
         return JacobiIterator()
@@ -51,15 +45,15 @@ def _build_solver(name: str, model_path) -> Iterator:
         return MultigridIterator(int(name[2:]))
     if name in SOLVER_NAMES:
         if model_path is None:
-            raise CliError(f"solver {name!r} needs --model with trained weights")
+            raise ValueError(f"solver {name!r} needs --model with trained weights")
         model = load_model(model_path)
         kind, depth = parse_arch(name)
         if (model.arch, model.depth) != (kind, depth):
-            raise CliError(
+            raise ValueError(
                 f"model file holds {model.arch}{model.depth}, but --solver says {name}"
             )
         return PhiIterator(JacobiIterator(), model, name=name)
-    raise CliError(f"unknown solver {name!r}")
+    raise ValueError(f"unknown solver {name!r}")
 
 
 def _geometry_kind(kind: str) -> str:
@@ -121,16 +115,10 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.model is None:
-        raise CliError("bench needs --model with trained weights")
+        raise ValueError("bench needs --model with trained weights")
     model = load_model(args.model)
     suite = SETTINGS if args.suite == "all" else (_geometry_kind(args.suite),)
-    try:
-        results = bench_mod.run_benchmark(
-            model, model_id=f"{model.arch}{model.depth}",
-            suite=suite, threshold=args.tol, seed=args.seed,
-        )
-    except bench_mod.BenchError as exc:
-        raise CliError(str(exc))
+    results = bench_mod.run_benchmark(model, suite=suite, threshold=args.tol, seed=args.seed)
     bench_mod.write_bench_csv(results, sys.stdout)
     if args.report:
         with open(args.report, "w", newline="") as fh:
@@ -200,9 +188,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

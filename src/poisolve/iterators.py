@@ -267,8 +267,10 @@ def solve_to_tol(
                  times that of u0 (an Iterator keeps the boundary exact).
     Exceeding max_steps is reported via converged=False, not raised.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     layers_per, ops_per = it.step_cost(p)
 
     if u_star is not None:

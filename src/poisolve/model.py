@@ -9,6 +9,9 @@ bias-free and purely linear so that H(0) = 0:
     smooth error lives), k stride-2 transposed-conv upsamplings with
     additive skip connections, and a conv after each upsampling.
 
+The architecture name alone fixes the shape: _layer_plan lists every
+layer's stride and kind, and a model holds only its kernels, one per entry.
+
 The wrapped iterator applies the base solver, feeds its update through the
 correction net, masks the correction to interior cells, and adds it on.
 Any fixed point of the base is therefore a fixed point of the wrapped
@@ -39,11 +42,9 @@ from .iterators import Iterator, depth_fault
 
 @dataclass
 class ConvLayer:
-    stride: int
-    transposed: bool
-    # one 3x3 kernel, kept with unit in and out axes as (1, 1, 3, 3), the
-    # layout of a gradient that perfbench's self-test indexes [0, 0, i, j];
-    # the convs take the (3, 3) view weights[0, 0]
+    # one 3x3 kernel (the stride and kind are the layer's _layer_plan entry),
+    # kept with unit in and out axes as (1, 1, 3, 3), the layout of a gradient
+    # that perfbench's self-test indexes [0, 0, i, j]; convs take weights[0, 0]
     weights: np.ndarray
 
 
@@ -51,18 +52,15 @@ class ConvLayer:
 class CorrectionModel:
     arch: str  # "conv" | "unet"
     depth: int
-    layers: list[ConvLayer] = field(default_factory=list)
+    layers: list[ConvLayer] = field(default_factory=list)  # one per _layer_plan entry
 
-    def _fault(self, n: int) -> str | None:
-        """Why an n x n grid does not fit the net, or None if it does.
+    def check_compatible(self, n: int) -> None:
+        """Raise ValueError unless an n x n grid fits the net.
 
         A U-Net coarsens depth times, a conv stack not at all, so both
         follow the multigrid rule at their number of coarsenings.
         """
-        return depth_fault(n, self.depth if self.arch == "unet" else 0)
-
-    def check_compatible(self, n: int) -> None:
-        fault = self._fault(n)
+        fault = depth_fault(n, self.depth if self.arch == "unet" else 0)
         if fault is not None:
             raise ValueError(
                 f"grid size {n} incompatible with {self.arch}{self.depth}: {fault}")
@@ -90,12 +88,21 @@ def _layer_plan(arch: str, depth: int) -> list[tuple[int, bool]]:
     return down + [(2, True), (1, False)] * depth
 
 
+def _planned(model: CorrectionModel) -> list[tuple[tuple[int, bool], ConvLayer]]:
+    """((stride, transposed), layer) per layer; ValueError if a kernel is missing or extra."""
+    return list(zip(_layer_plan(model.arch, model.depth), model.layers, strict=True))
+
+
+def _layer_text(stride: int, transposed: bool) -> str:
+    return f"stride {stride} transposed {int(transposed)}"
+
+
 def init_model(arch: str, seed: int) -> CorrectionModel:
     """Fresh model with kernels ~ N(0, (0.1/3)^2), 0.1/sqrt(fan_in) for fan_in = 9."""
     kind, depth = parse_arch(arch)
     rng = np.random.default_rng(seed)
-    layers = [ConvLayer(stride, transposed, rng.normal(0.0, 0.1 / 3.0, size=(1, 1, 3, 3)))
-              for stride, transposed in _layer_plan(kind, depth)]
+    layers = [ConvLayer(rng.normal(0.0, 0.1 / 3.0, size=(1, 1, 3, 3)))
+              for _ in _layer_plan(kind, depth)]
     return CorrectionModel(kind, depth, layers)
 
 
@@ -110,21 +117,19 @@ def forward(model: CorrectionModel, x: np.ndarray, tape: list | None = None) -> 
 
     Skip wiring is positional: the input of every stride-2 conv is pushed,
     and after every transposed conv the most recent branch is popped and
-    added in. The layer list alone therefore determines the topology.
+    added in. The layer plan alone therefore determines the topology.
     """
     stack: list[np.ndarray] = []
     a = x
-    for layer in model.layers:
+    for (stride, transposed), layer in _planned(model):
         if tape is not None:
             tape.append(a)
-        if layer.transposed:
-            a = transposed_conv2d(a, layer.weights[0, 0], layer.stride) + stack.pop()
+        if transposed:
+            a = transposed_conv2d(a, layer.weights[0, 0], stride) + stack.pop()
         else:
-            if layer.stride == 2:
+            if stride == 2:
                 stack.append(a)
-            a = conv2d(a, layer.weights[0, 0], layer.stride)
-    if stack:
-        raise ValueError("malformed layer list: unconsumed skip branches")
+            a = conv2d(a, layer.weights[0, 0], stride)
     return a
 
 
@@ -139,16 +144,17 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
     net input.
     """
     pending: list[np.ndarray] = []
-    for layer, x, grad in zip(reversed(model.layers), reversed(tape), reversed(grads)):
+    for ((stride, transposed), layer), x, grad in zip(
+            reversed(_planned(model)), reversed(tape), reversed(grads), strict=True):
         w = layer.weights[0, 0]
-        if layer.transposed:
+        if transposed:
             pending.append(g)
-            grad[0, 0] += transposed_conv2d_weight_grad(x, g, layer.stride)
-            g = transposed_conv2d_input_grad(g, w, layer.stride)
+            grad[0, 0] += transposed_conv2d_weight_grad(x, g, stride)
+            g = transposed_conv2d_input_grad(g, w, stride)
         else:
-            grad[0, 0] += conv2d_weight_grad(x, g, layer.stride)
-            g = conv2d_input_grad(g, w, layer.stride, x.shape[1:])
-            if layer.stride == 2:
+            grad[0, 0] += conv2d_weight_grad(x, g, stride)
+            g = conv2d_input_grad(g, w, stride, x.shape[1:])
+            if stride == 2:
                 g = g + pending.pop()
     return g
 
@@ -172,16 +178,16 @@ def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:
     resolution; the count is structural, independent of the weight values.
     """
     model.check_compatible(n)
-    layers = len(model.layers)
+    planned = _planned(model)
     ops = 0
     res = n
-    for layer in model.layers:
-        if layer.transposed:
-            res = layer.stride * (res - 1) + 1
-        elif layer.stride == 2:
+    for (stride, transposed), _ in planned:
+        if transposed:
+            res = stride * (res - 1) + 1
+        elif stride == 2:
             res = (res - 1) // 2 + 1
         ops += 9 * res * res
-    return layers, ops
+    return len(planned), ops
 
 
 class PhiIterator(Iterator):
@@ -210,11 +216,11 @@ class PhiIterator(Iterator):
 # ------------------------------------------------------------------
 
 def save_model(m: CorrectionModel, path) -> None:
+    planned = _planned(m)
     with open(path, "w") as fh:
         fh.write(f"arch {m.arch} depth {m.depth} channels 1\n")
-        for idx, layer in enumerate(m.layers):
-            fh.write(f"layer {idx} in 1 out 1 stride {layer.stride} "
-                     f"transposed {int(layer.transposed)}\n")
+        for idx, ((stride, transposed), layer) in enumerate(planned):
+            fh.write(f"layer {idx} in 1 out 1 {_layer_text(stride, transposed)}\n")
             _write_rows(fh, layer.weights.reshape(1, 9))
 
 
@@ -228,9 +234,9 @@ def _ints(tokens: list[str], what: str, line: int) -> list[int]:
 def load_model(path) -> CorrectionModel:
     """Read a model file.
 
-    A malformed line raises FileFormatError with its line number; a layer
-    list other than the one init_model builds for the header's arch and
-    depth raises ValueError.
+    A malformed line raises FileFormatError with its line number; so does a
+    layer header off _layer_plan for the header's arch and depth, and a file
+    that ends before the plan does, on its first missing line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -247,6 +253,7 @@ def load_model(path) -> CorrectionModel:
         raise FileFormatError(f"depth must be positive, got {depth}", 1)
     if channels != 1:
         raise FileFormatError(f"nets are single-channel, got channels {channels}", 1)
+    name, plan = f"{arch}{depth}", _layer_plan(arch, depth)
     layers = []
     pos = 1
     while pos < len(lines):
@@ -261,10 +268,11 @@ def load_model(path) -> CorrectionModel:
             raise FileFormatError(f"layer index {idx}, expected {len(layers)}", pos + 1)
         if (ci, co) != (1, 1):
             raise FileFormatError(f"layers are single-channel, got in {ci} out {co}", pos + 1)
-        if stride not in (1, 2):
-            raise FileFormatError(f"stride must be 1 or 2, got {stride}", pos + 1)
-        if transposed not in (0, 1):
-            raise FileFormatError(f"transposed must be 0 or 1, got {transposed}", pos + 1)
+        if idx >= len(plan):
+            raise FileFormatError(f"{name} has {len(plan)} layers, got layer {idx}", pos + 1)
+        if (stride, transposed) != plan[idx]:  # a flag 0 or 1 equals False or True
+            raise FileFormatError(f"layer {idx} of {name} has {_layer_text(*plan[idx])}, "
+                                  f"got {_layer_text(stride, transposed)}", pos + 1)
         pos += 1
         if pos >= len(lines):
             raise FileFormatError("missing kernel row", pos + 1)
@@ -273,11 +281,8 @@ def load_model(path) -> CorrectionModel:
             raise FileFormatError("kernel row needs 9 values", pos + 1)
         w = _floats([vals], 9, pos + 1, "bad numeric value in kernel row").reshape(1, 1, 3, 3)
         pos += 1
-        layers.append(ConvLayer(stride, bool(transposed), w))
-    found = [(L.stride, L.transposed) for L in layers]
-    expected = _layer_plan(arch, depth)
-    if found != expected:
-        raise ValueError(
-            f"inconsistent layer list for {arch}{depth}: (stride, transposed) "
-            f"{found} differs from {expected}")
+        layers.append(ConvLayer(w))
+    if len(layers) < len(plan):
+        raise FileFormatError(f"{name} has {len(plan)} layers, the file ends after "
+                              f"{len(layers)}", len(lines) + 1)
     return CorrectionModel(arch, depth, layers)

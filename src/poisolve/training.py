@@ -42,12 +42,11 @@ RHO_EVERY = 500  # training steps between the log's rho_estimate checks
 
 
 class TrainingError(RuntimeError):
-    def __init__(self, message, step=None, log=None):
+    def __init__(self, message, step=None):
         if step is not None:
             message = f"step {step}: {message}"
         super().__init__(message)
         self.step = step
-        self.log = log or []
 
 
 @dataclass
@@ -62,7 +61,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, bad in (("k_max", self.k_max < 1), ("batch", self.batch < 1),
-                          ("lr", not self.lr > 0), ("steps", self.steps < 0)):
+                          ("lr", not 0 < self.lr < math.inf), ("steps", self.steps < 0)):
             if bad:
                 raise ValueError(f"invalid training configuration: "
                                  f"{name} = {getattr(self, name)}")
@@ -281,10 +280,9 @@ def train(cfg: TrainConfig):
         try:
             value, grads = loss_and_grad(model, batch)
         except TrainingError as exc:
-            raise TrainingError(str(exc), step=step, log=log) from exc
+            raise TrainingError(str(exc), step=step) from exc
         if not np.isfinite(value) or value > 1e6:
-            raise TrainingError(f"training diverged (loss = {value:.3e})",
-                                step=step, log=log)
+            raise TrainingError(f"training diverged (loss = {value:.3e})", step=step)
         opt.update(model, grads)
         rho = None
         if step % RHO_EVERY == 0 or step == cfg.steps:
@@ -296,7 +294,7 @@ def train(cfg: TrainConfig):
         if not final_rho <= 1.0 - RHO_VALID_MARGIN:  # certify's rule
             raise TrainingError(
                 f"trained iterator is not contractive (rho = {final_rho:.6f})",
-                step=cfg.steps, log=log)
+                step=cfg.steps)
     return model, log
 
 

@@ -124,10 +124,10 @@ def quarter_cross_model() -> CorrectionModel:
     a Jacobi sweep. Wrapping Jacobi with this model reproduces two sweeps."""
     k = np.zeros((1, 1, 3, 3))
     k[0, 0] = [[0.0, 0.25, 0.0], [0.25, 0.0, 0.25], [0.0, 0.25, 0.0]]
-    return CorrectionModel("conv", 1, [ConvLayer(1, False, k)])
+    return CorrectionModel("conv", 1, [ConvLayer(k)])
 
 
 def scale_model(m: CorrectionModel, factor: float) -> CorrectionModel:
     """Copy of m with every kernel multiplied by factor."""
-    layers = [ConvLayer(L.stride, L.transposed, factor * L.weights) for L in m.layers]
+    layers = [ConvLayer(factor * L.weights) for L in m.layers]
     return CorrectionModel(m.arch, m.depth, layers)

