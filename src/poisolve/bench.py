@@ -22,6 +22,7 @@ from .iterators import (
     Iterator,
     JacobiIterator,
     MultigridIterator,
+    check_threshold,
     ground_truth,
     solve_to_tol,
 )
@@ -87,6 +88,7 @@ def run_benchmark(
     for setting in suite:  # before the certificate, which takes seconds
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}")
+    check_threshold(threshold)
     verdict = certify_for_bench(model)
     if not verdict.valid:
         raise BenchError(

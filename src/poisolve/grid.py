@@ -95,7 +95,7 @@ def make_problem(mask, b, f, h: float | None = None) -> Problem:
         raise ValueError(
             f"shape mismatch: mask {mask.shape}, b {b.shape}, f {f.shape}"
         )
-    if not np.isin(mask, (0, 1)).all():
+    if not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask cells must be 0 or 1")
     mask = mask.astype(np.uint8)
     frame = np.concatenate([mask[0], mask[-1], mask[:, 0], mask[:, -1]])
@@ -229,31 +229,47 @@ def relative_error(u: Field, u_star: Field) -> float:
 # File I/O (layouts in README "File formats"). ASCII text, one grid row
 # per line, LF line ends; float values are written "%.17g" (17
 # significant digits, so every float64 round-trips bit for bit) and
-# separated by single spaces, mask cells as the digits 0 and 1. Writers
-# format a whole row with one %-template. Readers split and count-check
-# the rows of a block in order, then convert the block in one numpy call,
-# which reads every token exactly as float() does. A malformed file, or
-# one whose values break a Problem invariant, raises FileFormatError
-# naming its first offending line.
+# separated by single spaces, mask cells as the digits 0 and 1. Generated
+# problems repeat rows (constant boundary data per side or disk, a zero
+# source), so both sides work one run of equal rows at a time. Writers
+# format a row with one %-template only when its bits differ from the row
+# above (bits, not values: 0.0 == -0.0, yet they print "0" and "-0"), and
+# repeat its text otherwise. Readers split a line only when it differs
+# from the line above, count-check the rows of a block in order, convert
+# the first row of every run in one numpy call, which reads every token
+# exactly as float() does, and repeat it down the run. Bytes and values
+# are those of a row-by-row writer and reader. A malformed file, or one
+# whose values break a Problem invariant, raises FileFormatError naming
+# its first offending line.
 # ------------------------------------------------------------------
 
 def _write_rows(fh, a) -> None:
-    """Write a 2-D array one line per row: "%.17g" values, single spaces."""
-    a = np.asarray(a, dtype=np.float64)
+    """Write a 2-D array one line per row: "%.17g" values, single spaces.
+
+    Each run of rows with equal bits is formatted once.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits = a.view(np.uint64)
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(a)))
     line = " ".join(["%.17g"] * a.shape[1]) + "\n"
-    for row in a.tolist():
-        fh.write(line % tuple(row))
+    for row, count in zip(a[starts].tolist(), counts.tolist()):
+        fh.write((line % tuple(row)) * count)
 
 
-def _floats(token_rows: list[list[str]], width: int, first_line: int,
-            message: str) -> np.ndarray:
-    """Rows of `width` decimal tokens, from line first_line on, as float64.
+def _floats(token_rows: list[list[str]], counts: list[int], width: int,
+            first_line: int, message: str) -> np.ndarray:
+    """Runs of rows of `width` decimal tokens, from line first_line on, as float64.
 
-    Blocks made only of "0" and "1" tokens (masks, zero sources) are read
-    from their bytes; the test stops at the first row with another token.
-    Any other block is converted in one call; only if that fails are its
-    rows tried one by one, so the FileFormatError (carrying message) names
-    the first row with a bad token.
+    token_rows[k] is the row of counts[k] equal lines in a row; each is
+    converted once and repeated down its run. Blocks made only of "0" and
+    "1" tokens (masks, zero sources) are read from their bytes; the test
+    stops at the first row with another token. Any other block is
+    converted in one call; only if that fails are its rows tried one by
+    one, so the FileFormatError (carrying message) names the first line
+    with a bad token.
     """
     digits = []
     for tokens in token_rows:
@@ -263,38 +279,49 @@ def _floats(token_rows: list[list[str]], width: int, first_line: int,
         digits.append(row)
     else:
         cells = np.frombuffer("".join(digits).encode("ascii"), dtype=np.uint8)
-        return np.subtract(cells, ord("0"), dtype=np.float64).reshape(-1, width)
+        block = np.subtract(cells, ord("0"), dtype=np.float64).reshape(-1, width)
+        return np.repeat(block, counts, axis=0)
     try:
-        return np.array(token_rows, dtype=np.float64)
+        block = np.array(token_rows, dtype=np.float64)
     except ValueError:
-        for k, tokens in enumerate(token_rows):
+        line = first_line
+        for tokens, count in zip(token_rows, counts):
             try:
                 np.array(tokens, dtype=np.float64)
             except ValueError:
-                raise FileFormatError(message, first_line + k) from None
+                raise FileFormatError(message, line) from None
+            line += count
         raise
+    return np.repeat(block, counts, axis=0)
 
 
 def _parse_block(lines, start: int, n: int, what: str) -> np.ndarray:
     """Lines start .. start+n-1 (1-based) as an (n, n) float64 block.
 
-    A short file or a row of the wrong width is reported only after the
-    rows above it have converted, so the first malformed row wins,
-    whatever is wrong with it.
+    A line equal to the one above it reuses that line's tokens. A short
+    file or a row of the wrong width is reported only after the rows
+    above it have converted, so the first malformed row wins, whatever is
+    wrong with it.
     """
-    rows, error = [], None
+    rows, counts, error, previous = [], [], None, None
     for lineno in range(start, start + n):
         if lineno > len(lines):
             error = FileFormatError(f"unexpected end of file in {what} block", lineno)
             break
-        tokens = lines[lineno - 1].split()
+        line = lines[lineno - 1]
+        if line == previous:
+            counts[-1] += 1
+            continue
+        tokens = line.split()
         if len(tokens) != n:
             error = FileFormatError(
                 f"{what} row has {len(tokens)} values, expected {n}", lineno
             )
             break
         rows.append(tokens)
-    block = _floats(rows, n, start, f"bad numeric value in {what} block")
+        counts.append(1)
+        previous = line
+    block = _floats(rows, counts, n, start, f"bad numeric value in {what} block")
     if error is not None:
         raise error
     return block
@@ -363,7 +390,7 @@ def load_problem(path) -> Problem:
         raise FileFormatError(f"grid size {n} too small", 1)
 
     mask = _parse_block(lines, 2, n, "mask")
-    _check_rows(~np.isin(mask, (0.0, 1.0)), 2, "mask cells must be 0 or 1")
+    _check_rows((mask != 0) & (mask != 1), 2, "mask cells must be 0 or 1")
     frame = np.ones((n, n), dtype=bool)
     frame[1:-1, 1:-1] = False
     _check_rows((mask == 1.0) & frame, 2, "outermost frame must be boundary (mask = 0)")

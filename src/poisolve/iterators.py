@@ -251,6 +251,12 @@ class MultigridIterator(Iterator):
         return layers, ops
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless a stopping threshold is finite and positive."""
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+
+
 def solve_to_tol(
     it: Iterator,
     p: Problem,
@@ -267,8 +273,7 @@ def solve_to_tol(
                  times that of u0 (an Iterator keeps the boundary exact).
     Exceeding max_steps is reported via converged=False, not raised.
     """
-    if not 0 < threshold < np.inf:
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    check_threshold(threshold)
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     layers_per, ops_per = it.step_cost(p)

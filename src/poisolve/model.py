@@ -235,8 +235,10 @@ def load_model(path) -> CorrectionModel:
     """Read a model file.
 
     A malformed line raises FileFormatError with its line number; so does a
-    layer header off _layer_plan for the header's arch and depth, and a file
-    that ends before the plan does, on its first missing line.
+    header whose depth exceeds the file's line count (on line 1, before the
+    plan is built), a layer header off _layer_plan for the header's arch and
+    depth, and a file that ends before the plan does, on its first missing
+    line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -253,6 +255,11 @@ def load_model(path) -> CorrectionModel:
         raise FileFormatError(f"depth must be positive, got {depth}", 1)
     if channels != 1:
         raise FileFormatError(f"nets are single-channel, got channels {channels}", 1)
+    # every net has at least depth layers of two lines each, so a depth past
+    # the file's length is refused before the plan is built
+    if depth > len(lines):
+        raise FileFormatError(f"{arch}{depth} has at least {depth} layers, "
+                              f"the file has {len(lines)} lines", 1)
     name, plan = f"{arch}{depth}", _layer_plan(arch, depth)
     layers = []
     pos = 1
@@ -279,7 +286,8 @@ def load_model(path) -> CorrectionModel:
         vals = lines[pos].split()
         if len(vals) != 9:
             raise FileFormatError("kernel row needs 9 values", pos + 1)
-        w = _floats([vals], 9, pos + 1, "bad numeric value in kernel row").reshape(1, 1, 3, 3)
+        w = _floats([vals], [1], 9, pos + 1,
+                    "bad numeric value in kernel row").reshape(1, 1, 3, 3)
         pos += 1
         layers.append(ConvLayer(w))
     if len(layers) < len(plan):

@@ -12,8 +12,10 @@ from poisolve.bench import (
     write_bench_csv,
 )
 from poisolve.grid import residual_norms
+from poisolve.iterators import JacobiIterator, solve_to_tol
 from poisolve.model import init_model
 
+from conftest import square_problem
 from paper_constructs import scale_model, zero_model
 
 
@@ -92,3 +94,18 @@ class TestBenchRuns:
         for suite in (("triangle",), ("square", "triangle")):
             with pytest.raises(ValueError, match="unknown setting 'triangle'"):
                 run_benchmark(zero_model("conv1"), suite=suite, n=17)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -0.01])
+    def test_bad_threshold_rejected_before_certificate(self, monkeypatch, threshold):
+        def no_certificate(model):
+            raise AssertionError("certify_for_bench called")
+
+        monkeypatch.setattr(bench, "certify_for_bench", no_certificate)
+        message = f"threshold must be finite and positive, got {threshold}"
+        with pytest.raises(ValueError) as info:
+            run_benchmark(zero_model("conv1"), suite=("square",), threshold=threshold, n=17)
+        assert str(info.value) == message
+        p = square_problem(17)
+        with pytest.raises(ValueError) as info:  # the same words as solve_to_tol's
+            solve_to_tol(JacobiIterator(), p, p.b, threshold, 10)
+        assert str(info.value) == message

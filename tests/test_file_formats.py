@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from poisolve.cli import EXIT_INVALID, main
-from poisolve.geometry import SETTINGS, GeometrySpec, generate
+from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.grid import (
     FileFormatError,
     load_field,
@@ -107,12 +107,33 @@ class TestWrittenBytes:
             save_field(np.zeros(shape), tmp_path / "u.txt")
         assert not (tmp_path / "u.txt").exists()
 
-    @pytest.mark.parametrize("n", [17, 257])
+    @pytest.mark.parametrize("n", [9, 17, 65, 257])
     @pytest.mark.parametrize("kind", SETTINGS)
     def test_problem_matches_per_value_formula(self, tmp_path, kind, n):
         p = generate(GeometrySpec(kind=kind, n=n, seed=0))
         save_problem(p, tmp_path / "p.txt")
         assert (tmp_path / "p.txt").read_bytes() == reference_problem_text(p).encode()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_geometry_matches_per_value_formula(self, tmp_path, seed):
+        p = random_geometry(65, np.random.default_rng(seed))
+        save_problem(p, tmp_path / "p.txt")
+        assert (tmp_path / "p.txt").read_bytes() == reference_problem_text(p).encode()
+        q = load_problem(tmp_path / "p.txt")
+        for a, b in ((q.mask, p.mask), (q.b, p.b), (q.f, p.f)):
+            assert np.array_equal(bits(a), bits(b))
+
+    def test_signed_zero_rows_keep_their_own_text(self, tmp_path):
+        # equal values, different bits: each row is formatted for itself
+        u = np.zeros((6, 6))
+        u[[1, 2, 4]] = -0.0
+        u[5, 3] = -0.0
+        save_field(u, tmp_path / "u.txt")
+        text = (tmp_path / "u.txt").read_text()
+        assert text == reference_field_text(u)
+        assert text.splitlines()[1:] == ["0 0 0 0 0 0"] + ["-0 -0 -0 -0 -0 -0"] * 2 + [
+            "0 0 0 0 0 0", "-0 -0 -0 -0 -0 -0", "0 0 0 -0 0 0"]
+        assert np.array_equal(bits(load_field(tmp_path / "u.txt")), bits(u))
 
     def test_problem_special_values(self, tmp_path):
         n = 9
@@ -192,6 +213,23 @@ class TestParsedValues:
         assert np.array_equal(bits(q.b), bits(reference_parse(lines[2 + n:2 + 2 * n])))
         assert np.array_equal(bits(q.f), bits(reference_parse(lines[3 + 2 * n:3 + 3 * n])))
         assert q.h == float(lines[-1].split()[1])
+
+    def test_random_field_round_trip_bits(self, tmp_path):
+        # every row distinct: no run longer than one
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((257, 257)) * 10.0 ** rng.integers(-300, 300, (257, 257))
+        save_field(u, tmp_path / "u.txt")
+        assert (tmp_path / "u.txt").read_bytes() == reference_field_text(u).encode()
+        assert np.array_equal(bits(load_field(tmp_path / "u.txt")), bits(u))
+
+    def test_run_lines_differing_in_whitespace(self, tmp_path):
+        n = 5
+        lines = ["0.25 -1 3e2 0 1", "0.25 -1 3e2 0 1", " 0.25  -1 3e2 0 1",
+                 "0.25\t-1 3e2 0 1 ", "0.25 -1 3e2 0 1"]
+        write_lines(tmp_path / "u.txt", [f"{n} {n}"] + lines)
+        u = load_field(tmp_path / "u.txt")
+        assert np.array_equal(bits(u), bits(reference_parse(lines)))
+        assert np.array_equal(bits(u), bits(np.tile(u[0], (n, 1))))
 
     def test_model_round_trip_bits(self, tmp_path):
         for path in MODELS:
@@ -288,6 +326,72 @@ class TestFirstMalformedRow:
         lines[7] = lines[7].replace("1", "2", 1)
         write_lines(tmp_path / "p.txt", lines)
         with pytest.raises(FileFormatError, match="^line 8: mask cells must be 0 or 1"):
+            load_problem(tmp_path / "p.txt")
+
+
+class TestErrorsAroundRuns:
+    """Equal lines are read once per run; errors still name their own line."""
+
+    N = 8
+
+    def field_lines(self):
+        # lines 2-4 one run, 5 its own, 6-9 a second run
+        return ([f"{self.N} {self.N}"] + [" ".join(["0.5"] * self.N)] * 3
+                + [" ".join(["1"] * self.N)] + [" ".join(["-2.5"] * self.N)] * 4)
+
+    def error(self, tmp_path, lines):
+        write_lines(tmp_path / "u.txt", lines)
+        with pytest.raises(FileFormatError) as err:
+            load_field(tmp_path / "u.txt")
+        return err.value
+
+    @pytest.mark.parametrize("lineno", [2, 3, 4, 5, 6, 8, 9])
+    def test_bad_token_inside_or_after_a_run(self, tmp_path, lineno):
+        lines = self.field_lines()
+        lines[lineno - 1] = lines[lineno - 1].replace("5", "x", 1).replace("1", "x", 1)
+        err = self.error(tmp_path, lines)
+        assert str(err).startswith(f"line {lineno}: bad numeric value in field block")
+        assert err.line == lineno
+
+    def test_run_of_bad_lines_names_its_first(self, tmp_path):
+        lines = self.field_lines()
+        for i in range(5, 9):
+            lines[i] = lines[i].replace("-2.5", "--2.5")
+        err = self.error(tmp_path, lines)
+        assert (err.line, str(err)) == (6, "line 6: bad numeric value in field block")
+
+    @pytest.mark.parametrize("lineno", [3, 4, 5, 7, 9])
+    def test_short_row_inside_or_after_a_run(self, tmp_path, lineno):
+        lines = self.field_lines()
+        lines[lineno - 1] = "0.5 0.5"
+        err = self.error(tmp_path, lines)
+        assert str(err) == f"line {lineno}: field row has 2 values, expected {self.N}"
+        assert err.line == lineno
+
+    def test_bad_token_in_a_run_before_a_short_row(self, tmp_path):
+        lines = self.field_lines()
+        for i in range(5, 9):
+            lines[i] = lines[i].replace("-2.5", "x")
+        lines[8] = "1 2"
+        err = self.error(tmp_path, lines)
+        assert err.line == 6 and "bad numeric value" in str(err)
+
+    @pytest.mark.parametrize("keep", [0, 1, 5])
+    def test_end_of_file_inside_a_run(self, tmp_path, p17, keep):
+        # the source block of p17 is one run of zero rows, lines 38-54
+        save_problem(p17, tmp_path / "p.txt")
+        lines = (tmp_path / "p.txt").read_text().splitlines()
+        write_lines(tmp_path / "p.txt", lines[:37 + keep])
+        with pytest.raises(FileFormatError,
+                           match=f"^line {38 + keep}: unexpected end of file in source block$"):
+            load_problem(tmp_path / "p.txt")
+
+    def test_bad_token_in_a_run_before_end_of_file(self, tmp_path, p17):
+        save_problem(p17, tmp_path / "p.txt")
+        lines = (tmp_path / "p.txt").read_text().splitlines()
+        lines[38:41] = [lines[38].replace("0", "o", 1)] * 3
+        write_lines(tmp_path / "p.txt", lines[:43])
+        with pytest.raises(FileFormatError, match="^line 39: bad numeric value in source"):
             load_problem(tmp_path / "p.txt")
 
 

@@ -196,6 +196,36 @@ class TestProblemInvariants:
         with pytest.raises(ValueError, match="frame"):
             make_problem(mask, np.zeros((5, 5)), np.zeros((5, 5)))
 
+    @pytest.mark.parametrize("dtype, cell", [
+        (bool, True), (np.uint8, 1), (np.int64, 1), (np.float64, 1.0), (np.float64, -0.0),
+        (np.int64, 2), (np.int64, -1), (np.float64, 2.0), (np.float64, 0.5),
+        (np.float64, np.nan), (np.float64, np.inf), (np.float32, 1.0)])
+    def test_mask_cells_zero_or_one(self, dtype, cell):
+        mask = np.zeros((5, 5), dtype=dtype)
+        mask[1:-1, 1:-1] = 1
+        mask[2, 3] = cell
+        # the membership test the comparison replaced
+        if np.isin(mask, (0, 1)).all():
+            p = make_problem(mask, np.zeros((5, 5)), np.zeros((5, 5)))
+            assert p.mask.dtype == np.uint8 and p.mask[2, 3] == (cell == 1)
+        else:
+            with pytest.raises(ValueError, match="mask cells must be 0 or 1"):
+                make_problem(mask, np.zeros((5, 5)), np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("token", ["2", "nan", "-nan", "0.5", "-1", "inf", "-0", "1.0", "1e0"])
+    def test_loaded_mask_cells_zero_or_one(self, tmp_path, token):
+        save_problem(square_problem(7), tmp_path / "p.txt")
+        lines = (tmp_path / "p.txt").read_text().splitlines()
+        row = lines[4].split()
+        row[3] = token
+        lines[4] = " ".join(row)
+        (tmp_path / "p.txt").write_text("\n".join(lines) + "\n")
+        if np.isin(float(token), (0.0, 1.0)):
+            assert load_problem(tmp_path / "p.txt").mask[3, 3] == float(token)
+        else:
+            with pytest.raises(FileFormatError, match="^line 5: mask cells must be 0 or 1$"):
+                load_problem(tmp_path / "p.txt")
+
     def test_needs_interior(self):
         mask = np.zeros((5, 5), dtype=np.uint8)
         with pytest.raises(ValueError, match="interior"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,31 @@ class TestInitAndFiles:
         with pytest.raises(FileFormatError, match=f"^line {line}: {match}$") as info:
             load_model(path)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("arch", ["conv", "unet"])
+    def test_depth_past_the_file_rejected_on_line_1(self, tmp_path, arch):
+        # every net has at least depth layers of two lines each; the plan,
+        # whose size grows with depth, is never built
+        path = tmp_path / "m.model"
+        path.write_text(f"arch {arch} depth 1000000 channels 1\n" + _LAYER + _ROW)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError) as info:
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == \
+            f"line 1: {arch}1000000 has at least 1000000 layers, the file has 3 lines"
+        assert info.value.line == 1
+        assert peak < 1_000_000
+
+    def test_depth_up_to_the_line_count_keeps_the_plan_message(self, tmp_path):
+        path = tmp_path / "m.model"
+        for depth, line, message in [
+                (3, 4, "conv3 has 3 layers, the file ends after 1"),
+                (4, 1, "conv4 has at least 4 layers, the file has 3 lines")]:
+            path.write_text(f"arch conv depth {depth} channels 1\n" + _LAYER + _ROW)
+            with pytest.raises(FileFormatError) as info:
+                load_model(path)
+            assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
