@@ -28,8 +28,7 @@ from .model import PhiIterator, load_model, parse_arch, save_model
 from .spectral import DENSE_MAX_N, certify, linear_part, spectral_norm
 from .training import TrainingError, default_config, train, write_log
 
-SOLVER_NAMES = ("jacobi", "mg2", "mg3", "conv1", "conv2", "conv3", "conv4",
-                "unet2", "unet3")
+SOLVER_HELP = "jacobi, mgN (N-level V-cycle) or a trained convN / unetN with --model"
 KIND_ALIASES = {"poisson": "square_poisson"}
 KINDS = SETTINGS + tuple(KIND_ALIASES)  # what --kind and --suite accept
 
@@ -41,19 +40,20 @@ EXIT_NO_CONVERGENCE = 3
 def _build_solver(name: str, model_path) -> Iterator:
     if name == "jacobi":
         return JacobiIterator()
-    if name in ("mg2", "mg3"):
+    if name.startswith("mg") and name[2:].isdigit():
         return MultigridIterator(int(name[2:]))
-    if name in SOLVER_NAMES:
-        if model_path is None:
-            raise ValueError(f"solver {name!r} needs --model with trained weights")
-        model = load_model(model_path)
+    try:
         kind, depth = parse_arch(name)
-        if (model.arch, model.depth) != (kind, depth):
-            raise ValueError(
-                f"model file holds {model.arch}{model.depth}, but --solver says {name}"
-            )
-        return PhiIterator(JacobiIterator(), model, name=name)
-    raise ValueError(f"unknown solver {name!r}")
+    except ValueError:
+        raise ValueError(f"unknown solver {name!r} "
+                         "(expected jacobi, mgN, convN or unetN)") from None
+    if model_path is None:
+        raise ValueError(f"solver {name!r} needs --model with trained weights")
+    model = load_model(model_path)
+    if (model.arch, model.depth) != (kind, depth):
+        raise ValueError(f"model file holds {model.arch}{model.depth}, "
+                         f"but --solver says {name}")
+    return PhiIterator(JacobiIterator(), model, name=name)
 
 
 def _geometry_kind(kind: str) -> str:
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a problem file to tolerance")
     solve.add_argument("--problem", required=True)
-    solve.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    solve.add_argument("--solver", required=True, help=SOLVER_HELP)
     solve.add_argument("--model", default=None)
     solve.add_argument("--tol", type=float, default=0.01)
     solve.add_argument("--max-steps", type=int, default=200000)
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     spectral = sub.add_parser("spectral", help="spectral radius / validity report")
-    spectral.add_argument("--solver", required=True, choices=SOLVER_NAMES)
+    spectral.add_argument("--solver", required=True, help=SOLVER_HELP)
     spectral.add_argument("--model", default=None)
     spectral.add_argument("--n", type=int, default=17)
     spectral.add_argument("--kind", default="square", choices=KINDS)

@@ -15,8 +15,8 @@ whose fixed point must satisfy the residual definition below.
 
 All 5-point arithmetic runs one kernel, :func:`_stencil`: the sweeps (and
 so the training adjoint) and :func:`residual`, the one f - A u, whose
-update laplacian_apply shares; only iterators.dense_system builds its
-matrix apart. It views a field, or a stack of fields, as one flat run of
+update laplacian_apply shares; iterators reads its small dense system
+off it too. It views a field, or a stack of fields, as one flat run of
 cells in row order, so the four neighbours of each cell in rows 1..n-2 of
 its field are contiguous slices at offsets -n, +n, -1, +1, summed N + S,
 + W, + E into the output buffer with no padded copy. Columns 0 and n-1

@@ -19,7 +19,7 @@ built) the sweeps skip adding (h^2/4) f, which changes no value: only an
 exact zero may come out as -0.0 where the padded formula gives +0.0.
 
 ground_truth, the reference every error is measured against, solves the
-interior system directly for n <= 32 and by conjugate gradients above,
+whole system, boundary rows too, directly for n <= 17 and by CG above,
 with one V-cycle from zero as the preconditioner (Tatebe 1993) and
 restarts from the true residual (van der Vorst and Ye 2000). The cycle is
 never iterated on its own there: on the L-shape the deepest cycle
@@ -69,6 +69,8 @@ REFERENCE_TOL = 1e-8
 PCG_TOL = 0.1 * REFERENCE_TOL
 PCG_MAX_ITERATIONS_PER_N = 20
 REFERENCE_RESTARTS = 5
+# ground_truth's direct solve beats PCG at n = 17 and at no n from 18 to 32
+DENSE_REFERENCE_MAX_N = 17
 
 
 class Iterator:
@@ -316,33 +318,25 @@ def solve_to_tol(
     return u, report
 
 
-def dense_system(p: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the full n^2 x n^2 linear system (interior equations plus
-    boundary identities) for direct solves at small n."""
-    n = p.n
-    N = n * n
-    A = np.zeros((N, N))
-    rhs = np.zeros(N)
-    inv_h2 = 1.0 / (p.h * p.h)
-    for i in range(n):
-        for j in range(n):
-            k = i * n + j
-            if p.mask[i, j] == 0:
-                A[k, k] = 1.0
-                rhs[k] = p.b[i, j]
-            else:
-                A[k, k] = 4.0 * inv_h2
-                A[k, k - n] = -inv_h2
-                A[k, k + n] = -inv_h2
-                A[k, k - 1] = -inv_h2
-                A[k, k + 1] = -inv_h2
-                rhs[k] = p.f[i, j]
-    return A, rhs
+def _full_system(p: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """A and the right-hand side of p's full system, cells in row order.
+
+    Column j of A is minus the sourceless residual of the j-th unit field:
+    the interior equations, with zero boundary rows that then take u = b.
+    One grid.residual call over the identity stack yields every column;
+    0.0 - r writes +0.0 where -r would give -0.0.
+    """
+    N = p.n * p.n
+    unforced = replace(p, f=np.zeros((p.n, p.n)))
+    A = 0.0 - residual(np.eye(N).reshape(N, p.n, p.n), unforced).reshape(N, N).T
+    boundary = np.flatnonzero(p.mask.reshape(-1) != 1)
+    A[boundary, boundary] = 1.0
+    return A, np.where(p.mask == 1, p.f, p.b).reshape(-1)
 
 
-def _deepest_depth(n: int, cap: int = 8) -> int:
+def _deepest_depth(n: int) -> int:
     depth = 0
-    while depth < cap and depth_fault(n, depth + 1) is None:
+    while depth_fault(n, depth + 1) is None:
         depth += 1
     return depth
 
@@ -400,10 +394,10 @@ def ground_truth(p: Problem) -> Field:
     """Reference solution of the interior system A u = f with u = b on the
     boundary, A = -discrete laplacian.
 
-    n <= 32: one dense direct solve of dense_system(p). At n = 17 it takes
-    about a third of the iterative path's time, and the conv models'
-    training references come from it.
-    n > 32: conjugate gradients on A from the zero field reset to b,
+    n <= DENSE_REFERENCE_MAX_N: one dense direct solve of _full_system(p).
+    At n = 17 it takes about 0.6 of the iterative path's time, and the
+    conv models' training references come from it.
+    Above: conjugate gradients on A from the zero field reset to b,
     preconditioned by _preconditioner(p), until the max-abs of the
     recursive residual is PCG_TOL. Each restart recomputes the true
     residual f - A u and runs CG on that (residual replacement), so drift
@@ -418,8 +412,8 @@ def ground_truth(p: Problem) -> Field:
     restarts), CG's iteration cap, and r.z <= 0, which a positive definite
     preconditioner never gives.
     """
-    if p.n <= 32:
-        A, rhs = dense_system(p)
+    if p.n <= DENSE_REFERENCE_MAX_N:
+        A, rhs = _full_system(p)
         u = np.linalg.solve(A, rhs).reshape(p.n, p.n)
     else:
         precondition = _preconditioner(p)

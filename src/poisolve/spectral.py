@@ -203,6 +203,11 @@ def spectral_norm(lp: LinearPart) -> float:
     return float(np.linalg.svd(T, compute_uv=False)[0])
 
 
+def contracts(rho: float) -> bool:
+    """The contraction rule of every verdict: rho <= 1 - RHO_VALID_MARGIN."""
+    return rho <= 1.0 - RHO_VALID_MARGIN
+
+
 @dataclass
 class ValidityVerdict:
     rho_estimate: float
@@ -222,7 +227,7 @@ def certify(it: Iterator, p: Problem) -> ValidityVerdict:
     rho = spectral_radius(linear_part(it, p), mode=mode)
     u_star = ground_truth(p)
     fp_res = float(np.abs(it.step(u_star, p) - u_star).max())
-    valid = bool(rho <= 1.0 - RHO_VALID_MARGIN and fp_res <= FIXED_POINT_TOL)
+    valid = bool(contracts(rho) and fp_res <= FIXED_POINT_TOL)
     return ValidityVerdict(
         rho_estimate=float(rho), method=mode,
         fixed_point_residual=fp_res, valid=valid,

@@ -36,7 +36,7 @@ from .geometry import square_problem
 from .grid import Field, Problem
 from .iterators import JacobiIterator, ground_truth, jacobi_step
 from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
-from .spectral import DENSE_MAX_N, RHO_VALID_MARGIN, linear_part, spectral_radius
+from .spectral import DENSE_MAX_N, contracts, linear_part, spectral_radius
 
 RHO_EVERY = 500  # training steps between the log's rho_estimate checks
 
@@ -289,12 +289,9 @@ def train(cfg: TrainConfig):
             rho = _train_rho(model, cache.geometry)
         log.append(LogRow(step=step, loss=value, rho_estimate=rho,
                           wall_seconds=time.time() - t_start))
-    if cfg.steps > 0:
-        final_rho = log[-1].rho_estimate  # measured at the last step
-        if not final_rho <= 1.0 - RHO_VALID_MARGIN:  # certify's rule
-            raise TrainingError(
-                f"trained iterator is not contractive (rho = {final_rho:.6f})",
-                step=cfg.steps)
+    if cfg.steps > 0 and not contracts(rho):  # rho: measured at the last step
+        raise TrainingError(f"trained iterator is not contractive (rho = {rho:.6f})",
+                            step=cfg.steps)
     return model, log
 
 

@@ -68,6 +68,11 @@ class TestSpectral:
         assert abs(float(fields["rho"]) - 0.9808) < 1e-3
         assert fields["valid"] == "1"
 
+    def test_multigrid_depth_4(self, capsys):
+        code, out, _ = run(capsys, "spectral", "--solver", "mg4", "--n", "33")
+        assert code == 0
+        assert out.strip().splitlines()[1].startswith("mg4,square,33,dense,")
+
     def test_model_solver_needs_model_file(self, capsys):
         code, _, err = run(capsys, "spectral", "--solver", "conv3", "--n", "17")
         assert code == 2 and "model" in err
@@ -155,6 +160,16 @@ class TestTrainBench:
                            "--tol", "1e-2")
         assert code == 0
 
+    def test_solve_conv5(self, tmp_path, capsys):
+        """Any depth train --arch accepts is a solver name."""
+        mp = tmp_path / "m.model"
+        save_model(zero_model("conv5"), mp)
+        problem = tmp_path / "p.txt"
+        save_problem(square_problem(17), problem)
+        code, out, _ = run(capsys, "solve", "--problem", str(problem),
+                           "--solver", "conv5", "--model", str(mp), "--tol", "1e-1")
+        assert code == 0 and out.strip().endswith(",1")
+
     def test_solver_arch_mismatch(self, tmp_path, capsys):
         mp = tmp_path / "m.model"
         save_model(zero_model("conv2"), mp)
@@ -215,6 +230,19 @@ class TestExitCodes:
             "lr-inf", "lr-nan", "lr-zero", "batch-zero", "model-stride", "model-missing"])
     def test_bad_value_exits_2(self, tmp_path, capsys, argv, message):
         code, out, err = run(capsys, *argv(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "spectral"])
+    @pytest.mark.parametrize("name, message", [
+        ("mg0", "multigrid depth must be >= 1"),
+        ("conv0", "unknown solver 'conv0' (expected jacobi, mgN, convN or unetN)"),
+        ("foo", "unknown solver 'foo' (expected jacobi, mgN, convN or unetN)"),
+    ])
+    def test_bad_solver_name_exits_2(self, tmp_path, capsys, command, name, message):
+        argv = (_solve()(tmp_path) if command == "solve"
+                else ["spectral", "--solver", "jacobi", "--n", "9"])
+        argv[argv.index("jacobi")] = name
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bench_start_within_tol_exits_0(self, capsys):

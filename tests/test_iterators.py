@@ -16,6 +16,7 @@ from poisolve.grid import (
     residual_norms,
 )
 from poisolve.iterators import (
+    DENSE_REFERENCE_MAX_N,
     POST_SMOOTH,
     PRE_SMOOTH,
     REFERENCE_TOL,
@@ -24,9 +25,9 @@ from poisolve.iterators import (
     MultigridIterator,
     ReferenceSolveError,
     _deepest_depth,
+    _full_system,
     _preconditioner,
     damped_jacobi_step,
-    dense_system,
     ground_truth,
     jacobi_step,
     prolong_bilinear,
@@ -327,13 +328,76 @@ def _gate(p, u):
     return interior <= REFERENCE_TOL and boundary <= REFERENCE_TOL
 
 
+def _small_problems():
+    """Every setting and three random masks at n = 9, 17 and 32."""
+    for n in (9, 17, 32):
+        for kind in SETTINGS:
+            yield generate(GeometrySpec(kind=kind, n=n, seed=0))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            yield random_geometry(n, rng)
+
+
+def _coefficient_loop(p):
+    """Reference: the full system written cell by cell from A's coefficients."""
+    n = p.n
+    A = np.zeros((n * n, n * n))
+    rhs = np.zeros(n * n)
+    inv_h2 = 1.0 / (p.h * p.h)
+    for i in range(n):
+        for j in range(n):
+            k = i * n + j
+            if p.mask[i, j] == 0:
+                A[k, k] = 1.0
+                rhs[k] = p.b[i, j]
+            else:
+                A[k, k] = 4.0 * inv_h2
+                for other in (k - n, k + n, k - 1, k + 1):
+                    A[k, other] = -inv_h2
+                rhs[k] = p.f[i, j]
+    return A, rhs
+
+
+class TestDenseReference:
+    """ground_truth up to DENSE_REFERENCE_MAX_N: the full system, solved directly."""
+
+    def test_system_equals_coefficient_loop(self):
+        """Bit for bit, also where h * h rounds (n = 32: h = 1/31)."""
+        for p in _small_problems():
+            A, rhs = _full_system(p)
+            A_ref, rhs_ref = _coefficient_loop(p)
+            assert np.array_equal(A, A_ref) and not np.signbit(A[A == 0]).any()
+            assert np.array_equal(rhs, rhs_ref)
+
+    def test_matrix_is_the_operator(self):
+        """A u is -laplacian u at interior cells and u at boundary cells."""
+        rng = np.random.default_rng(21)
+        for p in _small_problems():
+            A, _ = _full_system(p)
+            u = rng.standard_normal((4, p.n, p.n))
+            Au = (u.reshape(4, -1) @ A.T).reshape(u.shape)
+            want = np.where(p.mask == 1, -padded_laplacian(u, p.h), u)
+            assert np.allclose(Au, want, rtol=1e-13, atol=1e-13 / p.h ** 2)
+
+    @pytest.mark.parametrize("n", [DENSE_REFERENCE_MAX_N, DENSE_REFERENCE_MAX_N + 1])
+    @pytest.mark.parametrize("kind", SETTINGS)
+    def test_dense_and_cg_agree_at_the_cut(self, monkeypatch, kind, n):
+        p = generate(GeometrySpec(kind=kind, n=n, seed=0))
+        dense = np.linalg.solve(*_full_system(p)).reshape(n, n)
+        monkeypatch.setattr(iterators, "DENSE_REFERENCE_MAX_N", n - 1)
+        cg = ground_truth(p)
+        assert np.abs(cg - dense).max() <= 1e-9
+        monkeypatch.undo()
+        assert np.array_equal(ground_truth(p), dense if n == DENSE_REFERENCE_MAX_N else cg)
+
+
 class TestReferenceCG:
     """ground_truth above n = 32: V-cycle-preconditioned CG."""
 
     @pytest.mark.parametrize("kind", SETTINGS)
     def test_matches_dense_oracle(self, kind):
         p = generate(GeometrySpec(kind=kind, n=33, seed=0))
-        oracle = np.linalg.solve(*dense_system(p)).reshape(33, 33)
+        oracle = np.linalg.solve(*_full_system(p)).reshape(33, 33)
         assert np.abs(ground_truth(p) - oracle).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [65, 257])
