@@ -15,17 +15,17 @@ whose fixed point must satisfy the residual definition below.
 
 All 5-point arithmetic runs one kernel, :func:`_stencil`: the sweeps (and
 so the training adjoint) and :func:`residual`, the one f - A u, whose
-update laplacian_apply shares; iterators reads its small dense system
-off it too. It views a field, or a stack of fields, as one flat run of
-cells in row order, so the four neighbours of each cell in rows 1..n-2 of
-its field are contiguous slices at offsets -n, +n, -1, +1, summed N + S,
-+ W, + E into the output buffer with no padded copy. Columns 0 and n-1
-then hold wrapped values and rows 0 and n-1 values read across fields or
-none; every cell with mask != 1 is then overwritten. This relies on the
-outermost frame always being boundary (mask = 0), which make_problem
-enforces and dataclasses.replace keeps. Interior cells see the same
-operations in the same order as the zero-padded slice formulas, so results
-match those bit for bit (the tests hold them as references).
+update laplacian_apply shares. It views a field, or a stack of fields,
+as one flat run of cells in row order, so the four neighbours of each
+cell in rows 1..n-2 of its field are contiguous slices at offsets -n,
++n, -1, +1, summed N + S, + W, + E into the output buffer with no padded
+copy. Columns 0 and n-1 then hold wrapped values and rows 0 and n-1
+values read across fields or none; every cell with mask != 1 is then
+overwritten. This relies on the outermost frame always being boundary
+(mask = 0), which make_problem enforces and dataclasses.replace keeps.
+Interior cells see the same operations in the same order as the
+zero-padded slice formulas, so results match those bit for bit (the
+tests hold them as references).
 """
 
 from __future__ import annotations
@@ -334,6 +334,13 @@ def _check_rows(bad: np.ndarray, first_line: int, message: str) -> None:
         raise FileFormatError(message, first_line + int(rows.argmax()))
 
 
+def _check_end(lines, last: int, what: str) -> None:
+    """Raise FileFormatError on the first non-blank line after line last."""
+    for lineno in range(last + 1, len(lines) + 1):
+        if lines[lineno - 1].strip():
+            raise FileFormatError(f"unexpected content after the {what}", lineno)
+
+
 def save_field(u: Field, path) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"field must be square 2D, got shape {u.shape}")
@@ -359,7 +366,9 @@ def load_field(path) -> Field:
         raise FileFormatError(f"bad field dimensions {n} x {m}", 1)
     if len(lines) < 1 + n:
         raise FileFormatError(f"expected {n} data rows", len(lines) + 1)
-    return _parse_block(lines, 2, n, "field")
+    u = _parse_block(lines, 2, n, "field")
+    _check_end(lines, 1 + n, "last field row")
+    return u
 
 
 def save_problem(p: Problem, path) -> None:
@@ -419,4 +428,5 @@ def load_problem(path) -> Problem:
         raise FileFormatError("bad mesh width value", h_lineno)
     if not (math.isfinite(h) and h > 0):
         raise FileFormatError(f"mesh width must be finite and positive, got {h}", h_lineno)
+    _check_end(lines, h_lineno, "'h' line")
     return make_problem(mask.astype(np.uint8), b, f, h=h)

@@ -18,13 +18,14 @@ certification step runs on; Problem.has_source, set when a problem is
 built) the sweeps skip adding (h^2/4) f, which changes no value: only an
 exact zero may come out as -0.0 where the padded formula gives +0.0.
 
-ground_truth, the reference every error is measured against, solves the
-whole system, boundary rows too, directly for n <= 17 and by CG above,
-with one V-cycle from zero as the preconditioner (Tatebe 1993) and
-restarts from the true residual (van der Vorst and Ye 2000). The cycle is
-never iterated on its own there: on the L-shape the deepest cycle
-diverges, and on even grids no coarsening fits, but as a preconditioner
-it is symmetric positive definite on every mask, which is all CG needs.
+ground_truth, the reference every error is measured against, runs CG on
+A with restarts from the true residual (van der Vorst and Ye 2000). Its
+preconditioner is the Jacobi scaling (h^2/4) r below
+VCYCLE_PRECONDITIONER_MIN_N and one V-cycle from zero from there on
+(Tatebe 1993), where a coarsening fits. The cycle is never iterated on
+its own there: on the L-shape the deepest cycle diverges, but as a
+preconditioner it is symmetric positive definite on every mask, which is
+all CG needs.
 
 Cost accounting conventions (used by every report in this package):
 
@@ -65,12 +66,17 @@ SMOOTH_OMEGA = 2.0 / 3.0
 REFERENCE_TOL = 1e-8
 # its PCG stops at this max-abs recursive residual, after at most
 # PCG_MAX_ITERATIONS_PER_N * n iterations, and restarts from the true
-# residual at most REFERENCE_RESTARTS times
-PCG_TOL = 0.1 * REFERENCE_TOL
+# residual at most REFERENCE_RESTARTS times. A reference must be a fixed
+# point of the baselines to 1e-12: at 0.1 * REFERENCE_TOL one mg2 V-cycle
+# moved an n = 17 reference by 1.04e-12, at 0.05 by 3.2e-13.
+PCG_TOL = 0.05 * REFERENCE_TOL
 PCG_MAX_ITERATIONS_PER_N = 20
 REFERENCE_RESTARTS = 5
-# ground_truth's direct solve beats PCG at n = 17 and at no n from 18 to 32
-DENSE_REFERENCE_MAX_N = 17
+# its CG is preconditioned by one V-cycle from this n on, by the Jacobi
+# scaling below: timed at n = 17, 33, 49, 65 and 129, the Jacobi scaling
+# was faster on every setting up to 49, the V-cycle on most at 65 and on
+# every one at 129
+VCYCLE_PRECONDITIONER_MIN_N = 65
 
 
 class Iterator:
@@ -318,22 +324,6 @@ def solve_to_tol(
     return u, report
 
 
-def _full_system(p: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """A and the right-hand side of p's full system, cells in row order.
-
-    Column j of A is minus the sourceless residual of the j-th unit field:
-    the interior equations, with zero boundary rows that then take u = b.
-    One grid.residual call over the identity stack yields every column;
-    0.0 - r writes +0.0 where -r would give -0.0.
-    """
-    N = p.n * p.n
-    unforced = replace(p, f=np.zeros((p.n, p.n)))
-    A = 0.0 - residual(np.eye(N).reshape(N, p.n, p.n), unforced).reshape(N, N).T
-    boundary = np.flatnonzero(p.mask.reshape(-1) != 1)
-    A[boundary, boundary] = 1.0
-    return A, np.where(p.mask == 1, p.f, p.b).reshape(-1)
-
-
 def _deepest_depth(n: int) -> int:
     depth = 0
     while depth_fault(n, depth + 1) is None:
@@ -346,15 +336,17 @@ class ReferenceSolveError(RuntimeError):
 
 
 def _preconditioner(p: Problem):
-    """The map r -> z of ground_truth's CG: one V-cycle on A z = r from zero.
+    """The map r -> z of ground_truth's CG.
 
-    The cycle runs at the deepest depth that fits n. Its 2 + 2 damped
-    sweeps are symmetric, its prolongation is 4 x restriction^T and its
-    coarsest level only smooths, so r -> z is symmetric positive definite,
-    whether or not the injected coarse masks nest in p's domain. When no
-    coarsening fits (n - 1 odd) it is the Jacobi scaling (h^2/4) r.
+    From n = VCYCLE_PRECONDITIONER_MIN_N on it is one V-cycle on A z = r
+    from zero, at the deepest depth that fits n. Its 2 + 2 damped sweeps
+    are symmetric, its prolongation is 4 x restriction^T and its coarsest
+    level only smooths, so r -> z is symmetric positive definite, whether
+    or not the injected coarse masks nest in p's domain. Below that n, or
+    when no coarsening fits (n - 1 odd), it is the Jacobi scaling
+    (h^2/4) r.
     """
-    depth = _deepest_depth(p.n)
+    depth = _deepest_depth(p.n) if p.n >= VCYCLE_PRECONDITIONER_MIN_N else 0
     if depth == 0:
         c = 0.25 * p.h * p.h
         return lambda r: c * r
@@ -394,35 +386,28 @@ def ground_truth(p: Problem) -> Field:
     """Reference solution of the interior system A u = f with u = b on the
     boundary, A = -discrete laplacian.
 
-    n <= DENSE_REFERENCE_MAX_N: one dense direct solve of _full_system(p).
-    At n = 17 it takes about 0.6 of the iterative path's time, and the
-    conv models' training references come from it.
-    Above: conjugate gradients on A from the zero field reset to b,
+    Conjugate gradients on A from the zero field reset to b,
     preconditioned by _preconditioner(p), until the max-abs of the
     recursive residual is PCG_TOL. Each restart recomputes the true
     residual f - A u and runs CG on that (residual replacement), so drift
     between the recursive and the true residual costs one more short
     solve, not the gate.
 
-    Either way the result must meet a max-abs boundary residual of
-    REFERENCE_TOL and a max-abs interior residual of REFERENCE_TOL or, on
-    large data, the rounding floor of evaluating f - A u in float64,
+    The result must meet a max-abs boundary residual of REFERENCE_TOL and
+    a max-abs interior residual of REFERENCE_TOL or, on large data, the
+    rounding floor of evaluating f - A u in float64,
     4 eps (max|f| + 8 max|u| / h^2), whichever is larger. Every failure
     raises ReferenceSolveError: that gate (also after REFERENCE_RESTARTS
     restarts), CG's iteration cap, and r.z <= 0, which a positive definite
     preconditioner never gives.
     """
-    if p.n <= DENSE_REFERENCE_MAX_N:
-        A, rhs = _full_system(p)
-        u = np.linalg.solve(A, rhs).reshape(p.n, p.n)
-    else:
-        precondition = _preconditioner(p)
-        u = reset(np.zeros((p.n, p.n)), p)
-        for _ in range(REFERENCE_RESTARTS):
-            r = residual(u, p)
-            if float(np.abs(r).max()) <= REFERENCE_TOL:
-                break
-            u = u + _pcg(r, p, precondition)
+    precondition = _preconditioner(p)
+    u = reset(np.zeros((p.n, p.n)), p)
+    for _ in range(REFERENCE_RESTARTS):
+        r = residual(u, p)
+        if float(np.abs(r).max()) <= REFERENCE_TOL:
+            break
+        u = u + _pcg(r, p, precondition)
     interior, boundary = residual_norms(p, u)
     # |A u| <= 8 max|u| / h^2 at any cell
     scale = np.abs(p.f).max() + 8 * np.abs(u).max() / (p.h * p.h)

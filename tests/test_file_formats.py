@@ -491,3 +491,37 @@ class TestContentErrors:
         code = main(["solve", "--problem", str(tmp_path / "p.txt"), "--solver", "jacobi"])
         assert code == EXIT_INVALID
         assert "line 2: problem has no interior cells" in capsys.readouterr().err
+
+
+class TestTrailingContent:
+    """Blank lines may follow the last line a file needs; nothing else may."""
+
+    @staticmethod
+    def saved(tmp_path, what, p):
+        path = tmp_path / f"{what}.txt"
+        if what == "problem":
+            save_problem(p, path)
+            return path, load_problem
+        save_field(p.b, path)
+        return path, load_field
+
+    @pytest.mark.parametrize("what, last", [("problem", 4 + 3 * 17), ("field", 1 + 17)])
+    @pytest.mark.parametrize("gap", [0, 2])
+    def test_content_after_the_end_names_its_line(self, tmp_path, p17, what, last, gap):
+        path, load = self.saved(tmp_path, what, p17)
+        lines = path.read_text().splitlines()
+        write_lines(path, lines + [" "] * gap + ["0 1", "junk"])
+        with pytest.raises(FileFormatError,
+                           match=f"^line {last + gap + 1}: unexpected content after") as err:
+            load(path)
+        assert err.value.line == last + gap + 1
+
+    @pytest.mark.parametrize("what", ["problem", "field"])
+    def test_trailing_blank_lines_load(self, tmp_path, p17, what):
+        path, load = self.saved(tmp_path, what, p17)
+        expected = load(path)
+        path.write_text(path.read_text() + "\n \t\n")
+        got = load(path)
+        if what == "problem":
+            got, expected = got.b, expected.b
+        assert np.array_equal(bits(got), bits(expected))

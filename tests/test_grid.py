@@ -114,7 +114,7 @@ class TestResidualNorms:
         assert boundary == 1.0
 
     def test_zero_iff_exact_solution_small_grid(self):
-        """Vanishing residuals pin down the unique solution of the dense system."""
+        """Vanishing residuals pin down the unique solution of the system."""
         rng = np.random.default_rng(4)
         for trial in range(3):
             n = 9
@@ -124,7 +124,7 @@ class TestResidualNorms:
             b = np.where(mask == 0, rng.standard_normal((n, n)), 0.0)
             f = rng.standard_normal((n, n))
             p = make_problem(mask, b, f)
-            u = ground_truth(p)  # the dense direct solve at this n
+            u = ground_truth(p)
             interior, boundary = residual_norms(p, u)
             assert interior < 1e-9 and boundary < 1e-12
             # any perturbation of an interior cell breaks it

@@ -16,16 +16,15 @@ from poisolve.grid import (
     residual_norms,
 )
 from poisolve.iterators import (
-    DENSE_REFERENCE_MAX_N,
     POST_SMOOTH,
     PRE_SMOOTH,
     REFERENCE_TOL,
     SMOOTH_OMEGA,
+    VCYCLE_PRECONDITIONER_MIN_N,
     JacobiIterator,
     MultigridIterator,
     ReferenceSolveError,
     _deepest_depth,
-    _full_system,
     _preconditioner,
     damped_jacobi_step,
     ground_truth,
@@ -311,7 +310,7 @@ class TestGroundTruth:
     def test_dense_vs_multigrid_cross_check(self):
         rng = np.random.default_rng(7)
         p = square_problem(17, sides=tuple(rng.uniform(-1, 1, 4)))
-        u_dense = ground_truth(p)
+        us = ground_truth(p)
         mg = MultigridIterator(2)
         u = reset(np.zeros((17, 17)), p)
         for _ in range(200):
@@ -320,7 +319,7 @@ class TestGroundTruth:
                 u = u_next
                 break
             u = u_next
-        assert np.abs(u - u_dense).max() <= 1e-8
+        assert np.abs(u - us).max() <= 1e-8
 
 
 def _gate(p, u):
@@ -328,18 +327,9 @@ def _gate(p, u):
     return interior <= REFERENCE_TOL and boundary <= REFERENCE_TOL
 
 
-def _small_problems():
-    """Every setting and three random masks at n = 9, 17 and 32."""
-    for n in (9, 17, 32):
-        for kind in SETTINGS:
-            yield generate(GeometrySpec(kind=kind, n=n, seed=0))
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            yield random_geometry(n, rng)
-
-
 def _coefficient_loop(p):
-    """Reference: the full system written cell by cell from A's coefficients."""
+    """The oracle's system: A and the right-hand side of p, interior
+    equations and boundary identities u = b, written cell by cell."""
     n = p.n
     A = np.zeros((n * n, n * n))
     rhs = np.zeros(n * n)
@@ -358,47 +348,22 @@ def _coefficient_loop(p):
     return A, rhs
 
 
-class TestDenseReference:
-    """ground_truth up to DENSE_REFERENCE_MAX_N: the full system, solved directly."""
-
-    def test_system_equals_coefficient_loop(self):
-        """Bit for bit, also where h * h rounds (n = 32: h = 1/31)."""
-        for p in _small_problems():
-            A, rhs = _full_system(p)
-            A_ref, rhs_ref = _coefficient_loop(p)
-            assert np.array_equal(A, A_ref) and not np.signbit(A[A == 0]).any()
-            assert np.array_equal(rhs, rhs_ref)
-
-    def test_matrix_is_the_operator(self):
-        """A u is -laplacian u at interior cells and u at boundary cells."""
-        rng = np.random.default_rng(21)
-        for p in _small_problems():
-            A, _ = _full_system(p)
-            u = rng.standard_normal((4, p.n, p.n))
-            Au = (u.reshape(4, -1) @ A.T).reshape(u.shape)
-            want = np.where(p.mask == 1, -padded_laplacian(u, p.h), u)
-            assert np.allclose(Au, want, rtol=1e-13, atol=1e-13 / p.h ** 2)
-
-    @pytest.mark.parametrize("n", [DENSE_REFERENCE_MAX_N, DENSE_REFERENCE_MAX_N + 1])
-    @pytest.mark.parametrize("kind", SETTINGS)
-    def test_dense_and_cg_agree_at_the_cut(self, monkeypatch, kind, n):
-        p = generate(GeometrySpec(kind=kind, n=n, seed=0))
-        dense = np.linalg.solve(*_full_system(p)).reshape(n, n)
-        monkeypatch.setattr(iterators, "DENSE_REFERENCE_MAX_N", n - 1)
-        cg = ground_truth(p)
-        assert np.abs(cg - dense).max() <= 1e-9
-        monkeypatch.undo()
-        assert np.array_equal(ground_truth(p), dense if n == DENSE_REFERENCE_MAX_N else cg)
-
-
 class TestReferenceCG:
-    """ground_truth above n = 32: V-cycle-preconditioned CG."""
+    """ground_truth: restarted CG, Jacobi-scaled below
+    VCYCLE_PRECONDITIONER_MIN_N and V-cycle-preconditioned from there on."""
 
-    @pytest.mark.parametrize("kind", SETTINGS)
+    @pytest.mark.parametrize("kind", [*SETTINGS, "random"])
     def test_matches_dense_oracle(self, kind):
-        p = generate(GeometrySpec(kind=kind, n=33, seed=0))
-        oracle = np.linalg.solve(*_full_system(p)).reshape(33, 33)
-        assert np.abs(ground_truth(p) - oracle).max() <= 1e-9
+        """kind's geometry, or three random masks, at n = 9, 17, 32 and 33."""
+        for n in (9, 17, 32, 33):
+            if kind == "random":
+                rng = np.random.default_rng(n)
+                problems = [random_geometry(n, rng) for _ in range(3)]
+            else:
+                problems = [generate(GeometrySpec(kind=kind, n=n, seed=0))]
+            for p in problems:
+                oracle = np.linalg.solve(*_coefficient_loop(p)).reshape(n, n)
+                assert np.abs(ground_truth(p) - oracle).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [65, 257])
     def test_lshape_meets_gate(self, n):
@@ -420,13 +385,18 @@ class TestReferenceCG:
             assert _gate(p, ground_truth(p))
 
     def test_preconditioner_is_symmetric_positive(self):
-        p = generate(GeometrySpec(kind="lshape", n=65, seed=0))
-        precondition = _preconditioner(p)
+        """One V-cycle at the cut, the Jacobi scaling below it (n = 17,
+        where a three-level cycle would fit)."""
         rng = np.random.default_rng(12)
-        r1, r2 = np.where(p.mask == 1, rng.standard_normal((2, 65, 65)), 0.0)
-        a, b = np.vdot(r1, precondition(r2)), np.vdot(r2, precondition(r1))
-        assert abs(a - b) <= 1e-12 * abs(a)
-        assert np.vdot(r1, precondition(r1)) > 0
+        for n in (VCYCLE_PRECONDITIONER_MIN_N, 17):
+            p = generate(GeometrySpec(kind="lshape", n=n, seed=0))
+            precondition = _preconditioner(p)
+            r1, r2 = np.where(p.mask == 1, rng.standard_normal((2, n, n)), 0.0)
+            a, b = np.vdot(r1, precondition(r2)), np.vdot(r2, precondition(r1))
+            assert abs(a - b) <= 1e-12 * abs(a)
+            assert np.vdot(r1, precondition(r1)) > 0
+            jacobi = np.array_equal(precondition(r1), 0.25 * p.h * p.h * r1)
+            assert jacobi == (n < VCYCLE_PRECONDITIONER_MIN_N)
 
     def test_indefinite_preconditioner_raises(self, monkeypatch):
         monkeypatch.setattr(iterators, "_preconditioner", lambda p: lambda r: -r)
