@@ -13,26 +13,33 @@ at interior cells (i.e. -laplacian(u) = f) together with u = b on boundary
 cells. The sign is fixed by the averaging sweep in :mod:`poisolve.iterators`,
 whose fixed point must satisfy the residual definition below.
 
-All 5-point arithmetic runs one kernel, :func:`_stencil`: the sweeps (and
-so the training adjoint) and :func:`residual`, the one f - A u, whose
-update laplacian_apply shares. It views a field, or a stack of fields,
-as one flat run of cells in row order, so the four neighbours of each
-cell in rows 1..n-2 of its field are contiguous slices at offsets -n,
-+n, -1, +1, summed N + S, + W, + E into the output buffer with no padded
-copy. Columns 0 and n-1 then hold wrapped values and rows 0 and n-1
-values read across fields or none; every cell with mask != 1 is then
-overwritten. This relies on the outermost frame always being boundary
-(mask = 0), which make_problem enforces and dataclasses.replace keeps.
-Interior cells see the same operations in the same order as the
-zero-padded slice formulas, so results match those bit for bit (the
-tests hold them as references).
+All 5-point arithmetic runs in two kernels: :func:`_stencil`, the one
+sweep, plain or damped (which the iterators' steps and so the training
+adjoint call), and :func:`_laplacian_run`, the arithmetic of A, which
+:func:`residual` (the one f - A u) and laplacian_apply finish. Both view
+a field, or a stack of fields, as one flat run of cells in row order,
+so the four neighbours of each cell in rows 1..n-2 of its field are
+contiguous slices at offsets -n, +n, -1, +1, summed N + S, + W, + E
+into the output buffer with no padded copy, and the update runs on that
+run in place, with no callback. Columns 0 and n-1 then hold wrapped
+values and rows 0 and n-1 values read across fields or none; all of
+them are exterior cells (mask != 1), because the outermost frame is
+always boundary (mask = 0), which make_problem enforces and
+dataclasses.replace keeps. Every exterior cell is then written by its
+flat index, with b or 0. A Problem builds its mask's exterior indices
+once, and dataclasses.replace passes them on while the mask is the same
+object (see :class:`Exterior`); every other masking in the package
+(reset, residual_norms, zero_exterior) reads them too, so no step
+compares the mask. Interior cells see the same operations in the same
+order as the zero-padded slice formulas, so results match those bit for
+bit (the tests hold them as references).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +56,43 @@ class FileFormatError(ValueError):
         self.line = line
 
 
+class Exterior(dict):
+    """A mask's exterior cells (mask != 1) and b's values there.
+
+    index holds their flat row-major indices in one (n, n) field, built
+    once per mask, on first use, or taken from another Exterior of the
+    same mask. self[shape] is (cells, values) for a C-ordered array of
+    that shape, (..., n, n): cells repeats index in every field of the
+    stack, offset by the field's start, and values holds b at those cells,
+    b broadcast against the stack. It is built on the first lookup of each
+    shape and kept, so a sweep writes its frame with one indexed
+    assignment.
+    """
+
+    def __init__(self, mask: np.ndarray, b: np.ndarray, index: np.ndarray | None = None):
+        super().__init__()
+        self.mask = mask
+        self.b = b
+        if index is not None:
+            self.index = index
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return np.flatnonzero(self.mask.reshape(-1) != 1)
+
+    def __missing__(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        n = self.mask.shape[0]
+        if shape[-2:] != (n, n):
+            raise ValueError(f"field shape {shape} does not match problem n={n}")
+        lead = shape[:-2]
+        offsets = n * n * np.arange(math.prod(lead))
+        cells = (offsets[:, None] + self.index).reshape(-1)
+        values = self.b.reshape(self.b.shape[:-2] + (n * n,))[..., self.index]
+        values = np.broadcast_to(values, lead + self.index.shape).reshape(-1)
+        self[shape] = cells, values
+        return cells, values
+
+
 @dataclass(frozen=True)
 class Problem:
     """One discretized PDE instance.
@@ -58,6 +102,14 @@ class Problem:
     boundary so the 5-point stencil never reads off-grid. b is zero at
     interior cells; f may be nonzero anywhere but only its interior values
     enter the equations.
+
+    What the sweeps read besides the arrays is derived from them, once,
+    since they are never written after the Problem is built. exterior
+    (the mask's exterior cells and b's values there) is left to
+    __post_init__: dataclasses.replace passes it on, and it is rebuilt
+    only for another mask object, its values for another b. has_source is
+    set when the Problem is built, also by replace; scaled_source on its
+    first use.
     """
 
     mask: np.ndarray
@@ -65,12 +117,23 @@ class Problem:
     f: np.ndarray
     n: int
     h: float
-    # whether f has a nonzero cell: set once when the Problem is built (also
-    # by dataclasses.replace), since its arrays are never written afterwards
+    exterior: Exterior | None = field(default=None, repr=False, compare=False)
+    # whether f has a nonzero cell
     has_source: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        exterior = self.exterior
+        if exterior is None or exterior.mask is not self.mask:
+            exterior = Exterior(self.mask, self.b)
+        elif exterior.b is not self.b:
+            exterior = Exterior(self.mask, self.b, exterior.index)
+        object.__setattr__(self, "exterior", exterior)
         object.__setattr__(self, "has_source", bool(self.f.any()))
+
+    @cached_property
+    def scaled_source(self) -> np.ndarray:
+        """(h^2/4) f over rows 1..n-2, the term a sweep adds."""
+        return 0.25 * self.h * self.h * self.f[..., 1:-1, :]
 
     @property
     def interior_count(self) -> int:
@@ -128,38 +191,64 @@ class CostReport:
     converged: bool
 
 
-def _stencil(u: Field, mask: np.ndarray, f, update, frame) -> Field:
-    """Evaluate a 5-point update on flat views, then write the frame.
+def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
+    """One sweep of a field or stack of fields u on p, with reset.
 
-    The output has u's shape; mask, f (or None) and frame broadcast
-    against it. s = ((N + S) + W) + E over the flat run of cells (see the
-    module docstring), and update(s, uc, fs, fc) turns it in place into
-    the new values: uc is u over the cells of s, and fs and fc are the
-    output and f over rows 1..n-2 of each field, so that one f broadcasts
-    under a stack. Every cell with mask != 1 then takes frame.
+    The plain Jacobi update (N + S + W + E)/4 + (h^2/4) f if omega is
+    None, else that update damped by omega, (1 - omega) u + omega (...).
+    The neighbour sum ((N + S) + W) + E and the update run in place on
+    the flat run of the output from row 1 of the first field to row n-2
+    of the last (see the module docstring); then every exterior cell,
+    which includes each cell outside that run, takes its value of b.
     """
-    n = mask.shape[-1]
+    n = p.n
     out = np.empty(u.shape)
     flat = out.reshape(-1)
     m = flat.size
     s = flat[n:m - n]
     uf = u.reshape(-1)
-    np.add(uf[:-2 * n], uf[2 * n:], out=s)
+    np.add(uf[:-2 * n], uf[2 * n:], s)
     s += uf[n - 1:m - n - 1]
     s += uf[n + 1:m - n + 1]
-    rows = u.shape[:-2] + (n * n,)
-    fc = None if f is None else f.reshape(f.shape[:-2] + (n * n,))[..., n:-n]
-    update(s, uf[n:m - n], out.reshape(rows)[..., n:-n], fc)
-    np.copyto(out, frame, where=mask != 1)
+    s *= 0.25
+    if p.has_source:  # adding (h^2/4) * 0 would change no value
+        out[..., 1:-1, :] += p.scaled_source
+    if omega is not None:
+        s *= omega
+        s += (1.0 - omega) * uf[n:m - n]
+    cells, values = p.exterior[out.shape]
+    flat[cells] = values
     return out
 
 
-def _residual_update(h: float, s, uc, fs, fc) -> None:
-    """_stencil's update to f - A u; with no f, to -A u, the Laplacian."""
-    s -= 4.0 * uc
+def zero_exterior(a: Field, exterior: Exterior) -> Field:
+    """a, a field or stack (..., n, n), with its exterior cells set to 0.0.
+
+    A C-contiguous a is written in place, so it must be the caller's own
+    array; any other is copied first. The result has the bits of
+    np.where(mask == 1, a, 0.0).
+    """
+    a = np.ascontiguousarray(a)
+    a.reshape(-1)[exterior[a.shape][0]] = 0.0
+    return a
+
+
+def _laplacian_run(u: Field, n: int, h: float) -> Field:
+    """(((N + S) + W) + E - 4u) / h^2 of u, on the flat run as in _stencil.
+
+    Exterior cells are left for the caller to write.
+    """
+    out = np.empty(u.shape)
+    flat = out.reshape(-1)
+    m = flat.size
+    s = flat[n:m - n]
+    uf = u.reshape(-1)
+    np.add(uf[:-2 * n], uf[2 * n:], s)
+    s += uf[n - 1:m - n - 1]
+    s += uf[n + 1:m - n + 1]
+    s -= 4.0 * uf[n:m - n]
     s /= h * h
-    if fc is not None:
-        fs += fc
+    return out
 
 
 def laplacian_apply(u: Field, h: float) -> Field:
@@ -172,9 +261,11 @@ def laplacian_apply(u: Field, h: float) -> Field:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1] or u.shape[-1] < 3:
         raise ValueError(f"need a square grid of size >= 3, got shape {u.shape}")
-    inside = np.zeros(u.shape[-2:], dtype=bool)
-    inside[1:-1, 1:-1] = True
-    return _stencil(u, inside, None, partial(_residual_update, h), 0.0)
+    n = u.shape[-1]
+    inside = np.zeros((n, n), dtype=np.uint8)
+    inside[1:-1, 1:-1] = 1
+    out = _laplacian_run(u, n, h)
+    return zero_exterior(out, Exterior(inside, np.zeros((n, n))))
 
 
 def residual(u: Field, p: Problem) -> Field:
@@ -182,14 +273,19 @@ def residual(u: Field, p: Problem) -> Field:
 
     u may be a stack, shape (..., n, n); p.f broadcasts against it.
     """
-    return _stencil(u, p.mask, p.f, partial(_residual_update, p.h), 0.0)
+    out = _laplacian_run(u, p.n, p.h)
+    out[..., 1:-1, :] += p.f[..., 1:-1, :]
+    return zero_exterior(out, p.exterior)
 
 
 def reset(u: Field, p: Problem) -> Field:
     """Overwrite boundary cells of u with the prescribed values b."""
     if u.shape != (p.n, p.n):
         raise ValueError(f"field shape {u.shape} does not match problem n={p.n}")
-    return np.where(p.mask == 1, u, p.b)
+    out = np.array(u, dtype=np.float64)
+    cells, values = p.exterior[out.shape]
+    out.reshape(-1)[cells] = values
+    return out
 
 
 def residual_norms(p: Problem, u: Field) -> tuple[float, float]:
@@ -201,7 +297,8 @@ def residual_norms(p: Problem, u: Field) -> tuple[float, float]:
     if u.shape != (p.n, p.n):
         raise ValueError(f"field shape {u.shape} does not match problem n={p.n}")
     interior = float(np.abs(residual(u, p)).max())
-    boundary = float(np.abs(np.where(p.mask == 0, u - p.b, 0.0)).max())
+    cells, values = p.exterior[u.shape]
+    boundary = float(np.abs(u.reshape(-1)[cells] - values).max())
     return interior, boundary
 
 

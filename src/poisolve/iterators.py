@@ -11,12 +11,20 @@ frequency square), and those are exactly the modes the coarse grid
 cannot represent, so an undamped cycle contracts no faster than its
 sweeps alone. The standalone Jacobi iterator stays undamped.
 
-The sweeps are thin callers of the package's one 5-point kernel, and
-every f - A u here is :func:`poisolve.grid.residual`. When f
-has no nonzero cell (a homogeneous problem, as every training and
-certification step runs on; Problem.has_source, set when a problem is
-built) the sweeps skip adding (h^2/4) f, which changes no value: only an
-exact zero may come out as -0.0 where the padded formula gives +0.0.
+Both sweeps, plain and damped, for a field or a stack, are one kernel,
+:func:`poisolve.grid._stencil`, and every f - A u here is
+:func:`poisolve.grid.residual`. A sweep adds Problem.scaled_source,
+(h^2/4) f multiplied once when the problem is built, and writes b at
+the exterior cells by the indices the problem keeps (Problem.exterior),
+so no step multiplies the source or compares the mask. When f has no
+nonzero cell (a homogeneous problem, as every training and
+certification step runs on; Problem.has_source) the sweeps skip the
+source, which changes no value: only an exact zero may come out as -0.0
+where the padded formula gives +0.0. The V-cycle zeroes its restricted
+residual and its prolonged correction off the interior with
+:func:`poisolve.grid.zero_exterior`, and its coarse problems with the
+residual as source, made by dataclasses.replace, keep their level's
+exterior data.
 
 ground_truth, the reference every error is measured against, runs CG on
 A with restarts from the true residual (van der Vorst and Ye 2000). Its
@@ -39,6 +47,7 @@ Cost accounting conventions (used by every report in this package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +62,7 @@ from .grid import (
     reset,
     residual,
     residual_norms,
+    zero_exterior,
 )
 
 # mul-adds per interior cell of one sweep, plain or damped
@@ -105,28 +115,12 @@ def jacobi_step(u: Field, p: Problem) -> Field:
     u_hat = (u_N + u_S + u_W + u_E)/4 + (h^2/4) f at interior cells;
     boundary cells take the prescribed values b.
     """
-    c = 0.25 * p.h * p.h
-
-    def update(s, uc, fs, fc):
-        s *= 0.25
-        if p.has_source:  # adding c * 0 would change no value
-            fs += c * fc
-
-    return _stencil(u, p.mask, p.f, update, p.b)
+    return _stencil(u, p, None)
 
 
 def damped_jacobi_step(u: Field, p: Problem, omega: float) -> Field:
     """Weighted sweep (1-omega) u + omega * jacobi update, with reset."""
-    c = 0.25 * p.h * p.h
-
-    def update(s, uc, fs, fc):
-        s *= 0.25
-        if p.has_source:
-            fs += c * fc
-        s *= omega
-        s += (1.0 - omega) * uc
-
-    return _stencil(u, p.mask, p.f, update, p.b)
+    return _stencil(u, p, omega)
 
 
 class JacobiIterator(Iterator):
@@ -239,12 +233,13 @@ class MultigridIterator(Iterator):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         r = residual(u, p)
         pc = coarse[level]
-        fc = np.where(pc.mask == 1, restrict_full_weighting(r), 0.0)
+        fc = zero_exterior(restrict_full_weighting(r), pc.exterior)
         # the cached level with the restricted residual as its source; fc
-        # may be a stack, which make_problem would reject
+        # may be a stack, which make_problem would reject, and replace keeps
+        # the level's exterior data
         ec = self._cycle(np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
         e = prolong_bilinear(ec, p.n)
-        u = u + np.where(p.mask == 1, e, 0.0)
+        u = u + zero_exterior(e, p.exterior)
         for _ in range(POST_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         return u
@@ -276,7 +271,9 @@ def solve_to_tol(
     """Iterate until the error or residual criterion is met.
 
     With u_star: stop when grid.relative_error(u, u_star) <= threshold,
-                 with ||u*|| computed once per solve.
+                 with ||u*|| computed once per solve and u - u* written
+                 into one buffer that every test rewrites (it is never
+                 returned: u is u0 or the last step's own field).
     Without:     stop when max |grid.residual(u, p)| drops below threshold
                  times that of u0 (an Iterator keeps the boundary exact).
     Exceeding max_steps is reported via converged=False, not raised.
@@ -290,10 +287,12 @@ def solve_to_tol(
         if u0.shape != u_star.shape:
             raise ValueError(f"shape mismatch: {u0.shape} vs {u_star.shape}")
         denom = l2_norm(u_star)
+        scale = denom if denom > 0 else 1.0
+        diff = np.empty(u_star.shape)  # u - u*, rewritten by every test
 
         def error(u):
-            diff = l2_norm(u - u_star)
-            return diff / denom if denom > 0 else diff
+            np.subtract(u, u_star, diff)
+            return l2_norm(diff) / scale
     else:
         initial = residual_norms(p, u0)[0]  # which also checks u0's shape
         scale = initial if initial > 0 else 1.0
@@ -311,15 +310,15 @@ def solve_to_tol(
         u = it.step(u, p)
         steps += 1
         err = error(u)
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             break
-    converged = bool(np.isfinite(err) and err <= threshold)
+    finite = math.isfinite(err)
     report = CostReport(
         iterations=steps,
         conv_layers=steps * layers_per,
         mul_adds=steps * ops_per,
-        final_relative_error=float(err) if np.isfinite(err) else float("inf"),
-        converged=converged,
+        final_relative_error=float(err) if finite else math.inf,
+        converged=bool(finite and err <= threshold),
     )
     return u, report
 
@@ -352,7 +351,9 @@ def _preconditioner(p: Problem):
         return lambda r: c * r
     mg = MultigridIterator(depth)
     zero = np.zeros((p.n, p.n))
-    return lambda r: mg.step(zero, replace(p, b=zero, f=r))
+    # b = 0 set once, so that every call's problem shares its exterior values
+    zero_b = replace(p, b=zero)
+    return lambda r: mg.step(zero, replace(zero_b, f=r))
 
 
 def _pcg(r: Field, p: Problem, precondition) -> Field:

@@ -36,7 +36,7 @@ from .conv import (
     transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
-from .grid import Field, FileFormatError, _floats, _write_rows
+from .grid import Field, FileFormatError, _floats, _write_rows, zero_exterior
 from .iterators import Iterator, depth_fault
 
 
@@ -203,7 +203,7 @@ class PhiIterator(Iterator):
         psi = self.base.step(u, p)
         w = psi - u
         corr = apply_H(self.model, w, tape)
-        return psi + np.where(p.mask == 1, corr, 0.0)
+        return psi + zero_exterior(corr, p.exterior)
 
     def step_cost(self, p):
         bl, bo = self.base.step_cost(p)

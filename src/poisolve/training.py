@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import square_problem
-from .grid import Field, Problem
+from .grid import Field, Problem, zero_exterior
 from .iterators import JacobiIterator, ground_truth, jacobi_step
 from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
 from .spectral import DENSE_MAX_N, contracts, linear_part, spectral_radius
@@ -142,15 +142,14 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
     is zero, so e0 = mask (z - u*) for the sides' solution u*.
     """
     n = cfg.n
-    interior = cache.geometry.mask == 1
     e0 = np.empty((cfg.batch, n, n))
     ks = []
     for i in range(cfg.batch):
         sides = rng.uniform(-1.0, 1.0, size=4)
         z = rng.standard_normal((n, n))
-        e0[i] = np.where(interior, z - cache.solution(sides), 0.0)
+        e0[i] = z - cache.solution(sides)
         ks.append(int(rng.integers(1, cfg.k_max + 1)))
-    return Batch(cache.geometry, e0, ks)
+    return Batch(cache.geometry, zero_exterior(e0, cache.geometry.exterior), ks)
 
 
 # ------------------------------------------------------------------
@@ -211,12 +210,13 @@ def loss_and_grad(model: CorrectionModel, batch: Batch):
         for t in range(len(tapes), 0, -1):
             if live[t] > len(g):  # samples whose k = t enter the adjoint here
                 g = np.concatenate([g, scale * retired[t - 1]])
-            gw = backward(model, tapes[t - 1], np.where(p.mask == 1, g, 0.0), grads)
+            # g is this pass's own array, masked in place
+            gw = backward(model, tapes[t - 1], zero_exterior(g, p.exterior), grads)
             # the sweep's linear part u -> M (N+S+W+E)/4 has the adjoint
             # g -> (N+S+W+E)/4 of M g; a sweep of M g is that, op for op, at
             # interior cells and 0 elsewhere, where g is never read: backward
             # gets M g, and the next step masks g + gw again
-            g = jacobi_step(np.where(p.mask == 1, g + gw, 0.0), p) - gw
+            g = jacobi_step(zero_exterior(g + gw, p.exterior), p) - gw
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite adjoint at unroll step {t}")
     if not all(np.isfinite(gr).all() for gr in grads):

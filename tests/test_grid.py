@@ -14,9 +14,10 @@ from poisolve.grid import (
     residual_norms,
     save_field,
     save_problem,
+    zero_exterior,
 )
 from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
-from poisolve.iterators import ground_truth
+from poisolve.iterators import ground_truth, jacobi_step
 
 from conftest import padded_laplacian, square_problem
 
@@ -258,6 +259,71 @@ class TestProblemInvariants:
         assert not p.has_source
         assert replace(p, f=f).has_source
         assert not replace(p, f=np.zeros((3, n, n))).has_source
+
+
+class TestExterior:
+    """A problem's exterior cells (mask != 1) are indexed once per mask."""
+
+    @staticmethod
+    def _lshape():
+        return generate(GeometrySpec(kind="lshape", n=17, seed=0))
+
+    def test_indices_are_the_cells_off_the_interior(self):
+        p = self._lshape()
+        assert np.array_equal(p.exterior.index, np.flatnonzero(p.mask.reshape(-1) != 1))
+        cells, values = p.exterior[(17, 17)]
+        assert np.array_equal(cells, p.exterior.index)
+        assert np.array_equal(values, p.b.reshape(-1)[cells])
+
+    def test_replace_keeps_the_index_and_reads_the_new_b(self):
+        p = self._lshape()
+        rng = np.random.default_rng(1)
+        q = replace(p, f=rng.standard_normal((17, 17)))
+        assert q.exterior is p.exterior  # same mask and b: nothing rebuilt
+        b = np.where(p.mask == 1, 0.0, rng.standard_normal((17, 17)))
+        r = replace(p, b=b)
+        assert r.exterior.index is p.exterior.index
+        cells, values = r.exterior[(17, 17)]
+        assert np.array_equal(values, b.reshape(-1)[cells])
+        assert np.array_equal(p.exterior[(17, 17)][1], p.b.reshape(-1)[cells])
+        both = replace(r, b=p.b, f=q.f)
+        assert both.exterior.index is p.exterior.index
+
+    def test_replace_with_another_mask_rebuilds(self):
+        p = self._lshape()
+        other = generate(GeometrySpec(kind="cylinders", n=17, seed=0)).mask
+        q = replace(p, mask=other)
+        assert q.exterior.index is not p.exterior.index
+        assert np.array_equal(q.exterior.index, np.flatnonzero(other.reshape(-1) != 1))
+
+    @pytest.mark.parametrize("lead", [(3,), (3, 1), (2, 2)])
+    def test_stacks_repeat_the_index_per_field(self, lead):
+        p = self._lshape()
+        cells, values = p.exterior[lead + (17, 17)]
+        k = p.exterior.index.size
+        fields = int(np.prod(lead))
+        assert np.array_equal(cells.reshape(fields, k) - 17 * 17 * np.arange(fields)[:, None],
+                              np.broadcast_to(p.exterior.index, (fields, k)))
+        assert np.array_equal(values, np.tile(p.b.reshape(-1)[p.exterior.index], fields))
+        assert p.exterior[lead + (17, 17)][0] is cells  # kept for the next lookup
+
+    def test_wrong_field_size_rejected(self):
+        p = self._lshape()
+        with pytest.raises(ValueError, match="does not match problem n=17"):
+            jacobi_step(np.zeros((9, 9)), p)
+
+    def test_zero_exterior_matches_where(self):
+        p = self._lshape()
+        a = np.random.default_rng(3).standard_normal((2, 17, 17))
+        expect = np.where(p.mask == 1, a, 0.0)
+        out = zero_exterior(a, p.exterior)
+        assert out is a and np.array_equal(out.view(np.int64), expect.view(np.int64))
+        # a view that is not C-contiguous is copied, not written
+        b = np.random.default_rng(4).standard_normal((17, 34))[:, ::2]
+        before = b.copy()
+        out = zero_exterior(b, p.exterior)
+        assert np.array_equal(b, before)
+        assert np.array_equal(out, np.where(p.mask == 1, before, 0.0))
 
 
 class TestFileRoundTrips:

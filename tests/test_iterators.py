@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisolve import iterators
+from poisolve import grid, iterators
 from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.grid import (
     laplacian_apply,
@@ -36,7 +36,7 @@ from poisolve.iterators import (
 from poisolve.model import PhiIterator, init_model, load_model
 
 from conftest import neighbor_mean, padded_laplacian, square_problem
-from paper_constructs import quarter_cross_model, scale_model
+from paper_constructs import quarter_cross_model, scale_model, zero_model
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
@@ -259,6 +259,25 @@ class TestSolveToTol:
         assert rep.iterations == steps and _same_bits(u, ref_u)
         assert rep.final_relative_error == err
         assert rep.converged == (solver != "conv3x10")
+
+    @pytest.mark.parametrize("solver", ["jacobi", "mg2", "conv3", "conv3_zero"])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_back_to_back_solves_return_their_own_fields(self, solver, with_reference):
+        # the error test rewrites one buffer per solve: no returned field may
+        # be that buffer or share memory with the next solve's
+        it = {"jacobi": JacobiIterator(), "mg2": MultigridIterator(2),
+              "conv3": PhiIterator(JacobiIterator(), load_model(MODELS / "conv3.model")),
+              "conv3_zero": PhiIterator(JacobiIterator(), zero_model("conv3"))}[solver]
+        p = generate(GeometrySpec(kind="lshape", n=33, seed=0))
+        u0 = reset(np.random.default_rng(4).standard_normal((33, 33)), p)
+        u_star = ground_truth(p) if with_reference else None
+        first, rep1 = solve_to_tol(it, p, u0, 1e-2, 5000, u_star=u_star)
+        kept = first.copy()
+        second, rep2 = solve_to_tol(it, p, u0, 1e-2, 5000, u_star=u_star)
+        assert rep1.converged and rep1.iterations > 0
+        assert not np.shares_memory(first, second)
+        assert _same_bits(first, kept)
+        assert _same_bits(first, second) and rep1 == rep2
 
     def test_cost_accumulation(self, p17):
         rng = np.random.default_rng(6)
@@ -551,6 +570,28 @@ class TestFlatStencil:
             out = KERNELS[kernel][0](u, p)
             assert np.array_equal(out[p.mask == 0], p.b[p.mask == 0])
         assert np.all(residual(u, p)[p.mask == 0] == 0.0)
+
+    def test_cycles_and_preconditioner_build_no_exterior(self, monkeypatch):
+        # the V-cycle's replace(pc, f=fc) and the preconditioner's problem
+        # with the residual as source reuse their level's exterior data
+        p = generate(GeometrySpec(kind="lshape", n=65, seed=0))
+        mg = MultigridIterator(2)
+        u = np.random.default_rng(5).standard_normal((65, 65))
+        mg.step(u, p)
+        precondition = _preconditioner(p)
+        precondition(residual(u, p))
+        built = []
+
+        class Counting(grid.Exterior):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(grid, "Exterior", Counting)
+        for _ in range(2):
+            mg.step(u, p)
+            precondition(residual(u, p))
+        assert built == []
 
     @pytest.mark.parametrize("depth", [2, 3])
     @pytest.mark.parametrize("n", [17, 65])
