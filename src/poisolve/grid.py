@@ -26,13 +26,14 @@ values and rows 0 and n-1 values read across fields or none; all of
 them are exterior cells (mask != 1), because the outermost frame is
 always boundary (mask = 0), which make_problem enforces and
 dataclasses.replace keeps. Every exterior cell is then written by its
-flat index, with b or 0. A Problem builds its mask's exterior indices
-once, and dataclasses.replace passes them on while the mask is the same
-object (see :class:`Exterior`); every other masking in the package
-(reset, residual_norms, zero_exterior) reads them too, so no step
-compares the mask. Interior cells see the same operations in the same
-order as the zero-padded slice formulas, so results match those bit for
-bit (the tests hold them as references).
+flat index, with b or 0 (laplacian_apply, with no mask, slices the
+frame). A Problem builds its mask's exterior indices, and its coarse
+chain of multigrid levels, once, and dataclasses.replace passes them on
+while the mask is the same object (see :class:`Exterior`); every other
+masking in the package (reset, residual_norms, zero_exterior) reads
+them too, so no step compares the mask. Interior cells see the same
+operations in the same order as the zero-padded slice formulas, so
+results match those bit for bit (the tests hold them as references).
 """
 
 from __future__ import annotations
@@ -57,28 +58,46 @@ class FileFormatError(ValueError):
 
 
 class Exterior(dict):
-    """A mask's exterior cells (mask != 1) and b's values there.
+    """A mask's exterior cells (mask != 1), b's values there, and the
+    mask's coarse chain.
 
-    index holds their flat row-major indices in one (n, n) field, built
-    once per mask, on first use, or taken from another Exterior of the
-    same mask. self[shape] is (cells, values) for a C-ordered array of
-    that shape, (..., n, n): cells repeats index in every field of the
-    stack, offset by the field's start, and values holds b at those cells,
-    b broadcast against the stack. It is built on the first lookup of each
-    shape and kept, so a sweep writes its frame with one indexed
-    assignment.
+    index holds the cells' flat row-major indices in one (n, n) field.
+    coarse is the Exterior, with b = 0, of the injected mask mask[::2, ::2]
+    (a coarse cell is interior only if its aligned fine cell is); it is
+    None where n - 1 is odd or that mask has no interior cell. Both depend
+    on the mask alone: the mask's first Exterior builds them on first use,
+    and one made from it for another b (source) reads them there. self[shape]
+    is (cells, values) for a C-ordered (..., n, n) array: index repeated in
+    every field, offset by the field's start, and b, broadcast against the
+    stack, at those cells. It is built on the first lookup of each shape
+    and kept, so a sweep writes its frame with one indexed assignment.
     """
 
-    def __init__(self, mask: np.ndarray, b: np.ndarray, index: np.ndarray | None = None):
+    def __init__(self, mask: np.ndarray, b: np.ndarray, source: Exterior | None = None):
         super().__init__()
         self.mask = mask
         self.b = b
-        if index is not None:
-            self.index = index
+        # the mask's first Exterior, which builds index and coarse
+        self.source = source if source is None or source.source is None else source.source
 
     @cached_property
     def index(self) -> np.ndarray:
+        if self.source is not None:
+            return self.source.index
         return np.flatnonzero(self.mask.reshape(-1) != 1)
+
+    @cached_property
+    def coarse(self) -> Exterior | None:
+        if self.source is not None:
+            return self.source.coarse
+        if self.mask.shape[0] % 2 == 0:
+            return None
+        mask = self.mask[::2, ::2].copy()
+        if not mask.any():
+            return None
+        b = np.zeros(mask.shape)
+        mask.flags.writeable = b.flags.writeable = False
+        return Exterior(mask, b)
 
     def __missing__(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         n = self.mask.shape[0]
@@ -105,11 +124,10 @@ class Problem:
 
     What the sweeps read besides the arrays is derived from them, once,
     since they are never written after the Problem is built. exterior
-    (the mask's exterior cells and b's values there) is left to
-    __post_init__: dataclasses.replace passes it on, and it is rebuilt
-    only for another mask object, its values for another b. has_source is
-    set when the Problem is built, also by replace; scaled_source on its
-    first use.
+    (see Exterior) is left to __post_init__: dataclasses.replace passes
+    it on, and it is rebuilt only for another mask object, its b values
+    alone for another b. has_source is set when the Problem is built,
+    also by replace; scaled_source on its first use.
     """
 
     mask: np.ndarray
@@ -126,7 +144,7 @@ class Problem:
         if exterior is None or exterior.mask is not self.mask:
             exterior = Exterior(self.mask, self.b)
         elif exterior.b is not self.b:
-            exterior = Exterior(self.mask, self.b, exterior.index)
+            exterior = Exterior(self.mask, self.b, exterior)
         object.__setattr__(self, "exterior", exterior)
         object.__setattr__(self, "has_source", bool(self.f.any()))
 
@@ -262,10 +280,10 @@ def laplacian_apply(u: Field, h: float) -> Field:
     if u.ndim < 2 or u.shape[-2] != u.shape[-1] or u.shape[-1] < 3:
         raise ValueError(f"need a square grid of size >= 3, got shape {u.shape}")
     n = u.shape[-1]
-    inside = np.zeros((n, n), dtype=np.uint8)
-    inside[1:-1, 1:-1] = 1
     out = _laplacian_run(u, n, h)
-    return zero_exterior(out, Exterior(inside, np.zeros((n, n))))
+    out[..., ::n - 1, :] = 0.0  # rows 0 and n-1
+    out[..., ::n - 1] = 0.0  # columns 0 and n-1
+    return out
 
 
 def residual(u: Field, p: Problem) -> Field:

@@ -22,9 +22,8 @@ certification step runs on; Problem.has_source) the sweeps skip the
 source, which changes no value: only an exact zero may come out as -0.0
 where the padded formula gives +0.0. The V-cycle zeroes its restricted
 residual and its prolonged correction off the interior with
-:func:`poisolve.grid.zero_exterior`, and its coarse problems with the
-residual as source, made by dataclasses.replace, keep their level's
-exterior data.
+:func:`poisolve.grid.zero_exterior`, on levels read from the mask's
+coarse chain (grid.Exterior.coarse), which every cycle shares.
 
 ground_truth, the reference every error is measured against, runs CG on
 A with restarts from the true residual (van der Vorst and Ye 2000). Its
@@ -54,11 +53,11 @@ import numpy as np
 
 from .grid import (
     CostReport,
+    Exterior,
     Field,
     Problem,
     _stencil,
     l2_norm,
-    make_problem,
     reset,
     residual,
     residual_norms,
@@ -175,18 +174,14 @@ def prolong_bilinear(ec: Field, n: int) -> Field:
     return e
 
 
-def coarsen_mask(mask: np.ndarray) -> np.ndarray:
-    """Injection: a coarse cell is interior only if its aligned fine cell is."""
-    return mask[::2, ::2].copy()
-
-
 class MultigridIterator(Iterator):
     """Geometric multigrid V-cycle in residual-correction form.
 
     MultigridIterator(depth) coarsens up to depth times, on grids that
-    depth_fault accepts. Coarsening stops early on geometries whose
-    injected mask runs out of interior cells; the cycle then bottoms out
-    at the last usable level.
+    depth_fault accepts, on the levels p.exterior.coarse and on, built
+    once per mask; an instance holds no state besides depth and name.
+    Coarsening stops early on geometries whose injected mask runs out of
+    interior cells; the cycle then bottoms out at the last usable level.
     """
 
     def __init__(self, depth: int):
@@ -194,50 +189,35 @@ class MultigridIterator(Iterator):
             raise ValueError("multigrid depth must be >= 1")
         self.depth = depth
         self.name = f"mg{depth}"
-        # (mask, levels) of the last mask seen; solves reuse one mask
-        self._hierarchy: tuple[np.ndarray, list[Problem]] | None = None
 
-    def _coarse_problems(self, p: Problem) -> list[Problem]:
-        """Zero-data problems at each level below p, for the error equation.
-
-        Built, and the depth checked against p.n, once per mask.
-        """
-        if self._hierarchy is not None and self._hierarchy[0] is p.mask:
-            return self._hierarchy[1]
+    def _levels(self, p: Problem) -> list[Exterior]:
+        """The exterior data of the coarse levels a cycle on p visits."""
         fault = depth_fault(p.n, self.depth)
         if fault is not None:
             raise ValueError(fault)
-        levels = []
-        mask, h = p.mask, p.h
-        for _ in range(self.depth):
-            mask = coarsen_mask(mask)
-            h = 2.0 * h
-            if not mask.any():
-                break
-            nc = mask.shape[0]
-            levels.append(
-                make_problem(mask, np.zeros((nc, nc)), np.zeros((nc, nc)), h=h)
-            )
-        self._hierarchy = (p.mask, levels)
-        return levels
+        levels = [p.exterior]
+        while len(levels) <= self.depth and levels[-1].coarse is not None:
+            levels.append(levels[-1].coarse)
+        return levels[1:]
 
     def step(self, u, p):
-        return self._cycle(u, p, self._coarse_problems(p), 0)
+        return self._cycle(u, p, self._levels(p))
 
-    def _cycle(self, u, p, coarse, level):
-        if level == len(coarse):
+    def _cycle(self, u, p, coarse):
+        if not coarse:
             for _ in range(PRE_SMOOTH + POST_SMOOTH):
                 u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
             return u
         for _ in range(PRE_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         r = residual(u, p)
-        pc = coarse[level]
-        fc = zero_exterior(restrict_full_weighting(r), pc.exterior)
-        # the cached level with the restricted residual as its source; fc
-        # may be a stack, which make_problem would reject, and replace keeps
-        # the level's exterior data
-        ec = self._cycle(np.zeros(fc.shape), replace(pc, f=fc), coarse, level + 1)
+        level = coarse[0]
+        fc = zero_exterior(restrict_full_weighting(r), level)
+        # the error equation at twice the mesh width; fc may be a stack,
+        # which make_problem would reject
+        pc = Problem(mask=level.mask, b=level.b, f=fc, n=level.mask.shape[0],
+                     h=2.0 * p.h, exterior=level)
+        ec = self._cycle(np.zeros(fc.shape), pc, coarse[1:])
         e = prolong_bilinear(ec, p.n)
         u = u + zero_exterior(e, p.exterior)
         for _ in range(POST_SMOOTH):
@@ -245,12 +225,12 @@ class MultigridIterator(Iterator):
         return u
 
     def step_cost(self, p):
-        levels = [p] + self._coarse_problems(p)
+        masks = [p.mask] + [level.mask for level in self._levels(p)]
         sweeps = PRE_SMOOTH + POST_SMOOTH
         # every level sweeps; every descent restricts and prolongs once
-        layers = sweeps * len(levels) + 2 * (len(levels) - 1)
-        ops = sum(sweeps * SWEEP_MUL_ADDS * q.interior_count for q in levels)
-        ops += sum(9 * c.n * c.n + 4 * q.n * q.n for q, c in zip(levels, levels[1:]))
+        layers = sweeps * len(masks) + 2 * (len(masks) - 1)
+        ops = sum(sweeps * SWEEP_MUL_ADDS * int(m.sum()) for m in masks)
+        ops += sum(9 * c.size + 4 * m.size for m, c in zip(masks, masks[1:]))
         return layers, ops
 
 

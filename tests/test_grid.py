@@ -296,6 +296,35 @@ class TestExterior:
         assert q.exterior.index is not p.exterior.index
         assert np.array_equal(q.exterior.index, np.flatnonzero(other.reshape(-1) != 1))
 
+    def test_coarse_chain_is_the_injected_masks_with_zero_b(self):
+        p = generate(GeometrySpec(kind="lshape", n=65, seed=0))
+        level, mask = p.exterior, p.mask
+        for nc in (33, 17, 9, 5, 3):
+            mask = mask[::2, ::2]
+            level = level.coarse
+            assert np.array_equal(level.mask, mask) and level.mask.shape == (nc, nc)
+            assert np.array_equal(level.b, np.zeros((nc, nc)))
+            assert not level.mask.flags.writeable and not level.b.flags.writeable
+            assert np.array_equal(level.index, np.flatnonzero(mask.reshape(-1) != 1))
+            assert level.coarse is level.coarse  # built once
+        # a 3 x 3 grid's injected 2 x 2 mask is all frame
+        assert level.coarse is None
+
+    def test_coarse_chain_stops_where_the_grid_does_not_halve(self):
+        mask = np.zeros((18, 18), dtype=np.uint8)
+        mask[1:-1, 1:-1] = 1
+        assert make_problem(mask, np.zeros((18, 18)), np.zeros((18, 18))).exterior.coarse is None
+
+    def test_replace_shares_the_coarse_chain(self):
+        # whichever Exterior of the mask builds it first
+        p = self._lshape()
+        b = np.where(p.mask == 1, 0.0, 1.0)
+        r = replace(p, b=b)
+        chain = r.exterior.coarse
+        assert chain is p.exterior.coarse is replace(r, b=p.b).exterior.coarse
+        assert chain is replace(p, f=np.ones((17, 17)), h=0.5).exterior.coarse
+        assert replace(p, mask=p.mask.copy()).exterior.coarse is not chain
+
     @pytest.mark.parametrize("lead", [(3,), (3, 1), (2, 2)])
     def test_stacks_repeat_the_index_per_field(self, lead):
         p = self._lshape()

@@ -159,6 +159,69 @@ class TestMultigrid:
                         + 9 * 9 * 9 + 4 * 17 * 17 + 9 * 5 * 5 + 4 * 9 * 9)
         assert ops == expected_ops
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_new_mesh_width_on_the_same_mask_matches_a_fresh_iterator(self, lead):
+        # the levels must take h from the problem stepped, not from the
+        # first problem seen with that mask object
+        p = generate(GeometrySpec(kind="square_poisson", n=65, seed=0))
+        q = replace(p, h=p.h / 2)
+        assert q.mask is p.mask
+        u = np.random.default_rng(11).standard_normal(lead + (65, 65))
+        mg = MultigridIterator(2)
+        mg.step(u, p)
+        assert _same_bits(mg.step(u, q), MultigridIterator(2).step(u, q))
+        assert vars(mg) == {"depth": 2, "name": "mg2"}  # nothing cached
+
+    def test_instances_share_one_chain_per_mask(self, monkeypatch):
+        p = generate(GeometrySpec(kind="lshape", n=65, seed=0))
+        u = np.random.default_rng(12).standard_normal((65, 65))
+        r = residual(u, p)
+        # the preconditioner's b = 0 problem runs the deepest cycle at n = 65
+        assert _deepest_depth(65) == 5
+        _preconditioner(p)(r)
+        built = []
+
+        class Counting(grid.Exterior):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(grid, "Exterior", Counting)
+        MultigridIterator(2).step(u, p)
+        MultigridIterator(3).step(u, p)
+        MultigridIterator(3).step_cost(p)
+        assert built == []
+        # a second preconditioner makes its own b = 0 data, and only that
+        _preconditioner(p)(r)
+        assert len(built) == 1 and built[0][2] is p.exterior
+
+    def test_one_instance_alternating_masks_matches_fresh_instances(self):
+        ps = [generate(GeometrySpec(kind=kind, n=65, seed=0)) for kind in ("lshape", "cylinders")]
+        rng = np.random.default_rng(13)
+        mg = MultigridIterator(2)
+        for p in ps + ps + ps[::-1]:
+            u = rng.standard_normal((65, 65))
+            assert _same_bits(mg.step(u, p), MultigridIterator(2).step(u, p))
+
+    def test_mask_with_no_injected_interior_bottoms_out_at_the_fine_level(self):
+        # interior cells on odd rows only: mask[::2, ::2] is all boundary
+        n = 17
+        mask = np.zeros((n, n), dtype=np.uint8)
+        mask[1:-1:2, 1:-1] = 1
+        rng = np.random.default_rng(14)
+        p = make_problem(mask, rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+        assert p.exterior.coarse is None
+        u = rng.standard_normal((n, n))
+        expect = u
+        for _ in range(PRE_SMOOTH + POST_SMOOTH):
+            expect = damped_jacobi_step(expect, p, SMOOTH_OMEGA)
+        for depth in (1, 2, 3):
+            mg = MultigridIterator(depth)
+            assert _same_bits(mg.step(u, p), expect)
+            sweeps = PRE_SMOOTH + POST_SMOOTH
+            # 4 mul-adds per sweep on each of 8 rows x 15 interior cells
+            assert mg.step_cost(p) == (sweeps, sweeps * 4 * 8 * 15)
+
 
 class TestFixedPointProperty:
     def test_stationary_point_solves_system(self, p17_poisson):
@@ -466,6 +529,19 @@ def _ref_residual(u, p):
     return np.where(p.mask == 1, p.f + padded_laplacian(u, p.h), 0.0)
 
 
+def _ref_levels(p, depth):
+    """The cycle's coarse levels, built apart from the code under test:
+    injected masks through make_problem with zero data, h doubled."""
+    levels, mask, h = [], p.mask, p.h
+    for _ in range(depth):
+        mask, h = mask[::2, ::2], 2.0 * h
+        if not mask.any():
+            break
+        nc = mask.shape[0]
+        levels.append(make_problem(mask, np.zeros((nc, nc)), np.zeros((nc, nc)), h=h))
+    return levels
+
+
 def _ref_cycle(u, p, coarse, level):
     """MultigridIterator._cycle, written with the reference kernels."""
     if level == len(coarse):
@@ -601,5 +677,5 @@ class TestFlatStencil:
         for p in _stencil_problems(n):
             mg = MultigridIterator(depth)
             u = rng.standard_normal(lead + (n, n))
-            ref = _ref_cycle(u, p, mg._coarse_problems(p), 0)
+            ref = _ref_cycle(u, p, _ref_levels(p, depth), 0)
             assert _same_bits(mg.step(u, p), ref)
