@@ -26,20 +26,21 @@ values and rows 0 and n-1 values read across fields or none; all of
 them are exterior cells (mask != 1), because the outermost frame is
 always boundary (mask = 0), which make_problem enforces and
 dataclasses.replace keeps. Every exterior cell is then written by its
-flat index, with b or 0 (laplacian_apply, with no mask, slices the
-frame). A Problem builds its mask's exterior indices, and its coarse
-chain of multigrid levels, once, and dataclasses.replace passes them on
-while the mask is the same object (see :class:`Exterior`); every other
-masking in the package (reset, residual_norms, zero_exterior) reads
-them too, so no step compares the mask. Interior cells see the same
-operations in the same order as the zero-padded slice formulas, so
-results match those bit for bit (the tests hold them as references).
+flat index: with b by :func:`set_boundary`, the one boundary writer,
+which every step ends with (so no correction added before it is masked,
+and no f at an exterior cell is read), or with 0 by :func:`zero_exterior`
+(laplacian_apply, with no mask, slices the frame). A Problem builds its
+mask's exterior indices and coarse chain of multigrid levels once, and
+dataclasses.replace passes them on while the mask is the same object
+(see :class:`Exterior`), so no step compares the mask. Interior cells see
+the same operations in the same order as the zero-padded slice formulas,
+so results match those bit for bit (the tests hold them as references).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -120,20 +121,19 @@ class Problem:
     cells, whose values are prescribed by b. The outermost frame is always
     boundary so the 5-point stencil never reads off-grid. b is zero at
     interior cells; f may be nonzero anywhere but only its interior values
-    enter the equations.
+    enter the equations. n is the mask's, also after dataclasses.replace.
 
     What the sweeps read besides the arrays is derived from them, once,
     since they are never written after the Problem is built. exterior
     (see Exterior) is left to __post_init__: dataclasses.replace passes
     it on, and it is rebuilt only for another mask object, its b values
     alone for another b. has_source is set when the Problem is built,
-    also by replace; scaled_source on its first use.
+    also by replace; scaled_source and homogeneous on their first use.
     """
 
     mask: np.ndarray
     b: np.ndarray
     f: np.ndarray
-    n: int
     h: float
     exterior: Exterior | None = field(default=None, repr=False, compare=False)
     # whether f has a nonzero cell
@@ -148,10 +148,21 @@ class Problem:
         object.__setattr__(self, "exterior", exterior)
         object.__setattr__(self, "has_source", bool(self.f.any()))
 
+    @property
+    def n(self) -> int:
+        return self.mask.shape[0]
+
     @cached_property
     def scaled_source(self) -> np.ndarray:
         """(h^2/4) f over rows 1..n-2, the term a sweep adds."""
         return 0.25 * self.h * self.h * self.f[..., 1:-1, :]
+
+    @cached_property
+    def homogeneous(self) -> Problem:
+        """This geometry with b = f = 0, sharing the mask's Exterior data; the
+        zeros are one read-only broadcast value, so the twin keeps no n x n buffer."""
+        zeros = np.broadcast_to(0.0, self.mask.shape)
+        return replace(self, b=zeros, f=zeros)
 
     @property
     def interior_count(self) -> int:
@@ -195,7 +206,7 @@ def make_problem(mask, b, f, h: float | None = None) -> Problem:
     f = f.copy()
     f.flags.writeable = False
     mask.flags.writeable = False
-    return Problem(mask=mask, b=b, f=f, n=n, h=float(h))
+    return Problem(mask=mask, b=b, f=f, h=float(h))
 
 
 @dataclass
@@ -234,17 +245,23 @@ def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
     if omega is not None:
         s *= omega
         s += (1.0 - omega) * uf[n:m - n]
-    cells, values = p.exterior[out.shape]
-    flat[cells] = values
-    return out
+    return set_boundary(out, p)
+
+
+def set_boundary(a: Field, p: Problem) -> Field:
+    """a, a C-contiguous field or stack, with b written at its exterior cells in place."""
+    cells, values = p.exterior[a.shape]
+    a.reshape(-1)[cells] = values
+    return a
 
 
 def zero_exterior(a: Field, exterior: Exterior) -> Field:
     """a, a field or stack (..., n, n), with its exterior cells set to 0.0.
 
-    A C-contiguous a is written in place, so it must be the caller's own
-    array; any other is copied first. The result has the bits of
-    np.where(mask == 1, a, 0.0).
+    For fields whose zeros there are read: residuals, training's start
+    errors and adjoints. A C-contiguous a is written in place, so it must
+    be the caller's own array; any other is copied first. The result has
+    the bits of np.where(mask == 1, a, 0.0).
     """
     a = np.ascontiguousarray(a)
     a.reshape(-1)[exterior[a.shape][0]] = 0.0
@@ -300,10 +317,7 @@ def reset(u: Field, p: Problem) -> Field:
     """Overwrite boundary cells of u with the prescribed values b."""
     if u.shape != (p.n, p.n):
         raise ValueError(f"field shape {u.shape} does not match problem n={p.n}")
-    out = np.array(u, dtype=np.float64)
-    cells, values = p.exterior[out.shape]
-    out.reshape(-1)[cells] = values
-    return out
+    return set_boundary(np.array(u, dtype=np.float64, order="C"), p)
 
 
 def residual_norms(p: Problem, u: Field) -> tuple[float, float]:

@@ -20,10 +20,10 @@ so no step multiplies the source or compares the mask. When f has no
 nonzero cell (a homogeneous problem, as every training and
 certification step runs on; Problem.has_source) the sweeps skip the
 source, which changes no value: only an exact zero may come out as -0.0
-where the padded formula gives +0.0. The V-cycle zeroes its restricted
-residual and its prolonged correction off the interior with
-:func:`poisolve.grid.zero_exterior`, on levels read from the mask's
-coarse chain (grid.Exterior.coarse), which every cycle shares.
+where the padded formula gives +0.0. The V-cycle writes b over its
+prolonged correction with :func:`poisolve.grid.set_boundary` and leaves
+its restricted residual unmasked (no f at an exterior cell is read), on
+the mask's coarse chain of levels (grid.Exterior.coarse).
 
 ground_truth, the reference every error is measured against, runs CG on
 A with restarts from the true residual (van der Vorst and Ye 2000). Its
@@ -61,7 +61,7 @@ from .grid import (
     reset,
     residual,
     residual_norms,
-    zero_exterior,
+    set_boundary,
 )
 
 # mul-adds per interior cell of one sweep, plain or damped
@@ -204,22 +204,17 @@ class MultigridIterator(Iterator):
         return self._cycle(u, p, self._levels(p))
 
     def _cycle(self, u, p, coarse):
-        if not coarse:
-            for _ in range(PRE_SMOOTH + POST_SMOOTH):
-                u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
-            return u
         for _ in range(PRE_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
-        r = residual(u, p)
-        level = coarse[0]
-        fc = zero_exterior(restrict_full_weighting(r), level)
-        # the error equation at twice the mesh width; fc may be a stack,
-        # which make_problem would reject
-        pc = Problem(mask=level.mask, b=level.b, f=fc, n=level.mask.shape[0],
-                     h=2.0 * p.h, exterior=level)
-        ec = self._cycle(np.zeros(fc.shape), pc, coarse[1:])
-        e = prolong_bilinear(ec, p.n)
-        u = u + zero_exterior(e, p.exterior)
+        if coarse:
+            r = residual(u, p)  # held to the end: its lifetime sets the page faults
+            level = coarse[0]
+            fc = restrict_full_weighting(r)
+            # the error equation at twice the mesh width; fc may be a stack,
+            # which make_problem would reject
+            pc = Problem(mask=level.mask, b=level.b, f=fc, h=2.0 * p.h, exterior=level)
+            ec = self._cycle(np.zeros(fc.shape), pc, coarse[1:])
+            u = set_boundary(u + prolong_bilinear(ec, p.n), p)
         for _ in range(POST_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         return u
@@ -331,17 +326,13 @@ def _preconditioner(p: Problem):
         return lambda r: c * r
     mg = MultigridIterator(depth)
     zero = np.zeros((p.n, p.n))
-    # b = 0 set once, so that every call's problem shares its exterior values
-    zero_b = replace(p, b=zero)
-    return lambda r: mg.step(zero, replace(zero_b, f=r))
+    return lambda r: mg.step(zero, replace(p.homogeneous, f=r))
 
 
 def _pcg(r: Field, p: Problem, precondition) -> Field:
     """e with A e = r: preconditioned CG from zero, run until the max-abs
     of its recursive residual is PCG_TOL or less."""
     cap = PCG_MAX_ITERATIONS_PER_N * p.n
-    # A d is minus the residual field of d on the problem with no source
-    unforced = replace(p, f=np.zeros((p.n, p.n)))
     e = np.zeros_like(r)
     z = precondition(r)
     d = z
@@ -350,7 +341,7 @@ def _pcg(r: Field, p: Problem, precondition) -> Field:
         if not rz > 0:
             raise ReferenceSolveError(
                 f"preconditioner is not positive definite (r.z = {rz:.3e})")
-        q = -residual(d, unforced)
+        q = -residual(d, p.homogeneous)  # A d: residual ignores b
         alpha = rz / float(np.vdot(d, q))
         e += alpha * d
         r = r - alpha * q

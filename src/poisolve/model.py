@@ -13,7 +13,8 @@ The architecture name alone fixes the shape: _layer_plan lists every
 layer's stride and kind, and a model holds only its kernels, one per entry.
 
 The wrapped iterator applies the base solver, feeds its update through the
-correction net, masks the correction to interior cells, and adds it on.
+correction net, adds the correction on and writes b back over the exterior
+cells (grid.set_boundary), so the correction reaches interior cells only.
 Any fixed point of the base is therefore a fixed point of the wrapped
 iterator regardless of the weights, exactly so in exact arithmetic. In
 float64 the base step leaves a rounding residue d at its fixed point, and
@@ -36,7 +37,7 @@ from .conv import (
     transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
-from .grid import Field, FileFormatError, _floats, _write_rows, zero_exterior
+from .grid import Field, FileFormatError, _floats, _write_rows, set_boundary
 from .iterators import Iterator, depth_fault
 
 
@@ -191,7 +192,7 @@ def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:
 
 
 class PhiIterator(Iterator):
-    """Base solver plus masked learned correction of its own update."""
+    """Base solver plus the learned correction of its own update, on interior cells."""
 
     def __init__(self, base: Iterator, model: CorrectionModel, name: str | None = None):
         self.base = base
@@ -201,9 +202,7 @@ class PhiIterator(Iterator):
     def step(self, u, p, tape: list | None = None):
         """One wrapped step; a tape, if given, records the correction net's pass."""
         psi = self.base.step(u, p)
-        w = psi - u
-        corr = apply_H(self.model, w, tape)
-        return psi + zero_exterior(corr, p.exterior)
+        return set_boundary(psi + apply_H(self.model, psi - u, tape), p)
 
     def step_cost(self, p):
         bl, bo = self.base.step_cost(p)

@@ -3,7 +3,7 @@
 An affine iterator u -> T u + c converges from every start iff the
 spectral radius of T is below one, and its fixed point solves the
 discretized system whenever the base splitting does. This module extracts
-T by running iterators on the homogeneous problem (f = 0, b = 0, so the
+T by running iterators on Problem.homogeneous (f = 0, b = 0, so the
 constant part vanishes), materializes it densely for small grids,
 estimates the radius of larger ones by a windowed power iteration or by
 restarted Arnoldi, and issues validity verdicts. Certification uses the
@@ -13,7 +13,7 @@ there, which is faster and reads the radius to about 1e-5 relative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,15 +53,9 @@ class LinearPart:
         return self.mask.shape[0]
 
 
-def homogeneous(p: Problem) -> Problem:
-    """p's geometry with f = 0 and b = 0, where an affine step is its linear part."""
-    zeros = np.zeros((p.n, p.n))
-    return replace(p, b=zeros, f=zeros)
-
-
 def linear_part(it: Iterator, p: Problem) -> LinearPart:
     """Extract u -> T u by running the iterator with f = 0, b = 0."""
-    homog = homogeneous(p)
+    homog = p.homogeneous
 
     def apply(v: Field) -> Field:
         return it.step(v, homog)

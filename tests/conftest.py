@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,21 @@ def square_problem(n, sides=(0.3, -0.2, 0.8, 0.1), f=None):
     b[0, :], b[-1, :] = sides[0], sides[1]
     b[1:-1, 0], b[1:-1, -1] = sides[2], sides[3]
     return make_problem(mask, b, np.zeros((n, n)) if f is None else f)
+
+
+def with_negative_zeros(p):
+    """p with b = -0.0 at every other cell of its top row and left column."""
+    b = p.b.copy()
+    b[0, ::2] = -0.0
+    b[1:-1:2, 0] = -0.0
+    return replace(p, b=b)
+
+
+def boundary_bits_equal(u, p):
+    """Whether u, a field or stack on p, holds b's exact bits at every exterior cell."""
+    fixed = np.broadcast_to(p.mask != 1, u.shape)
+    expect = np.broadcast_to(p.b, u.shape)[fixed]
+    return np.array_equal(u[fixed].view(np.int64), expect.view(np.int64))
 
 
 def neighbor_mean(u):

@@ -289,6 +289,33 @@ class TestExterior:
         both = replace(r, b=p.b, f=q.f)
         assert both.exterior.index is p.exterior.index
 
+    def test_replace_with_a_mask_of_another_size_takes_its_n(self):
+        # a cylinders n = 17 problem given the n = 33 L-shape's arrays
+        p = generate(GeometrySpec(kind="cylinders", n=17, seed=0))
+        q = generate(GeometrySpec(kind="lshape", n=33, seed=0))
+        moved = replace(p, mask=q.mask, b=q.b, f=q.f, h=q.h)
+        assert moved.n == 33
+        u = np.random.default_rng(5).standard_normal((33, 33))
+        assert np.array_equal(jacobi_step(u, moved).view(np.int64),
+                              jacobi_step(u, q).view(np.int64))
+        assert np.array_equal(reset(u, moved), reset(u, q))
+
+    def test_homogeneous_twin_shares_the_mask_data(self):
+        p = self._lshape()
+        z = p.homogeneous
+        assert z is p.homogeneous  # built once
+        assert z.mask is p.mask and z.h == p.h and not z.has_source
+        assert not z.b.any() and not z.f.any() and not z.b.flags.writeable
+        assert z.exterior.index is p.exterior.index
+        assert z.exterior.coarse is p.exterior.coarse
+
+    def test_reset_writes_b_into_a_field_of_any_memory_order(self):
+        p = self._lshape()
+        u = np.random.default_rng(6).standard_normal((17, 17)).T  # Fortran order
+        out = reset(u, p)
+        assert np.array_equal(out[p.mask == 0], p.b[p.mask == 0])
+        assert np.array_equal(out[p.mask == 1], u[p.mask == 1])
+
     def test_replace_with_another_mask_rebuilds(self):
         p = self._lshape()
         other = generate(GeometrySpec(kind="cylinders", n=17, seed=0)).mask

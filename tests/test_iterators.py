@@ -35,7 +35,13 @@ from poisolve.iterators import (
 )
 from poisolve.model import PhiIterator, init_model, load_model
 
-from conftest import neighbor_mean, padded_laplacian, square_problem
+from conftest import (
+    boundary_bits_equal,
+    neighbor_mean,
+    padded_laplacian,
+    square_problem,
+    with_negative_zeros,
+)
 from paper_constructs import quarter_cross_model, scale_model, zero_model
 
 MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -92,12 +98,16 @@ class TestAffinity:
     @pytest.mark.parametrize("make_iter", [
         lambda: JacobiIterator(),
         lambda: MultigridIterator(2),
+        lambda: PhiIterator(JacobiIterator(), init_model("conv3", seed=2)),
+        lambda: PhiIterator(JacobiIterator(), init_model("unet2", seed=2)),
     ])
     def test_boundary_exact_after_step(self, make_iter, p17_poisson):
-        it = make_iter()
+        # b's bits come back, -0.0 included, on a field and on a stack
+        p = with_negative_zeros(p17_poisson)
         rng = np.random.default_rng(2)
-        u = it.step(rng.standard_normal((17, 17)), p17_poisson)
-        assert np.array_equal(u[p17_poisson.mask == 0], p17_poisson.b[p17_poisson.mask == 0])
+        for lead in ((), (3,)):
+            u = make_iter().step(rng.standard_normal(lead + (17, 17)), p)
+            assert boundary_bits_equal(u, p)
 
 
 class TestMultigrid:
@@ -179,6 +189,7 @@ class TestMultigrid:
         # the preconditioner's b = 0 problem runs the deepest cycle at n = 65
         assert _deepest_depth(65) == 5
         _preconditioner(p)(r)
+        assert p.homogeneous.exterior.source is p.exterior
         built = []
 
         class Counting(grid.Exterior):
@@ -191,9 +202,9 @@ class TestMultigrid:
         MultigridIterator(3).step(u, p)
         MultigridIterator(3).step_cost(p)
         assert built == []
-        # a second preconditioner makes its own b = 0 data, and only that
+        # a second preconditioner reuses the problem's b = 0 twin
         _preconditioner(p)(r)
-        assert len(built) == 1 and built[0][2] is p.exterior
+        assert built == []
 
     def test_one_instance_alternating_masks_matches_fresh_instances(self):
         ps = [generate(GeometrySpec(kind=kind, n=65, seed=0)) for kind in ("lshape", "cylinders")]
@@ -559,6 +570,11 @@ def _ref_cycle(u, p, coarse, level):
     return u
 
 
+def _interior_source(p):
+    """p with f zeroed at its exterior cells, which no kernel reads."""
+    return replace(p, f=np.where(p.mask == 1, p.f, 0.0))
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
@@ -601,11 +617,14 @@ class TestFlatStencil:
     @pytest.mark.parametrize("n", [3, 17, 65])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
     def test_matches_padded_formula(self, kernel, n, lead):
+        # the problems hold random f at their exterior cells too
         fn, ref = KERNELS[kernel]
         rng = np.random.default_rng(7)
         for p in _stencil_problems(n):
             u = rng.standard_normal(lead + (n, n))
-            assert _same_bits(fn(u, p), ref(u, p))
+            out = fn(u, p)
+            assert _same_bits(out, ref(u, p))
+            assert _same_bits(out, fn(u, _interior_source(p)))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n", [3, 17, 65])
@@ -678,4 +697,7 @@ class TestFlatStencil:
             mg = MultigridIterator(depth)
             u = rng.standard_normal(lead + (n, n))
             ref = _ref_cycle(u, p, _ref_levels(p, depth), 0)
-            assert _same_bits(mg.step(u, p), ref)
+            out = mg.step(u, p)
+            assert _same_bits(out, ref)
+            # no f at an exterior cell is read, on any level
+            assert _same_bits(out, mg.step(u, _interior_source(p)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poisolve.grid import FileFormatError
-from poisolve.iterators import JacobiIterator, ground_truth, jacobi_step
+from poisolve.iterators import JacobiIterator, MultigridIterator, ground_truth, jacobi_step
 from poisolve.model import (
     PhiIterator,
     apply_H,
@@ -15,7 +15,7 @@ from poisolve.model import (
     save_model,
 )
 
-from conftest import square_problem
+from conftest import boundary_bits_equal, square_problem, with_negative_zeros
 from paper_constructs import quarter_cross_model, scale_model, zero_model
 
 _HEAD = "arch conv depth 1 channels 1\n"
@@ -133,11 +133,15 @@ class TestPhiIterator:
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_boundary_exact(self, p17_poisson):
-        phi = PhiIterator(JacobiIterator(), init_model("unet2", seed=13))
+        # b's bits, -0.0 included, whatever the correction held there
+        p = with_negative_zeros(p17_poisson)
         rng = np.random.default_rng(14)
-        u = phi.step(rng.standard_normal((17, 17)), p17_poisson)
-        fixed = p17_poisson.mask == 0
-        assert np.array_equal(u[fixed], p17_poisson.b[fixed])
+        for arch in ("conv3", "unet2"):
+            for base in (JacobiIterator(), MultigridIterator(2)):
+                phi = PhiIterator(base, init_model(arch, seed=13))
+                for lead in ((), (3,)):
+                    u = phi.step(rng.standard_normal(lead + (17, 17)), p)
+                    assert boundary_bits_equal(u, p)
 
 
 class TestCost:

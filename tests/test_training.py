@@ -14,7 +14,6 @@ from poisolve.model import (
     init_model,
     save_model,
 )
-from poisolve.spectral import homogeneous
 from poisolve.training import (
     Batch,
     SquareSolutionCache,
@@ -257,7 +256,7 @@ class TestAdjointSweep:
         problem, is M neighbor_mean(M g) bit for bit at interior cells."""
         rng = np.random.default_rng(n)
         for _ in range(20):
-            p = homogeneous(random_geometry(n, rng))
+            p = random_geometry(n, rng).homogeneous
             g = np.where(p.mask == 1, rng.standard_normal((3, 1, n, n)), 0.0)
             out, ref = jacobi_step(g, p), neighbor_mean(g)
             inside = np.broadcast_to(p.mask == 1, g.shape)
