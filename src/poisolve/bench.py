@@ -98,7 +98,7 @@ def run_benchmark(
         )
     n = n or bench_size_for(model)
     base = baseline_for(model)
-    phi = PhiIterator(JacobiIterator(), model, name=f"{model.arch}{model.depth}")
+    phi = PhiIterator(JacobiIterator(), model)
     results = []
     for setting in suite:
         p = generate(GeometrySpec(kind=setting, n=n, seed=seed))

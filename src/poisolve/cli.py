@@ -53,7 +53,7 @@ def _build_solver(name: str, model_path) -> Iterator:
     if (model.arch, model.depth) != (kind, depth):
         raise ValueError(f"model file holds {model.arch}{model.depth}, "
                          f"but --solver says {name}")
-    return PhiIterator(JacobiIterator(), model, name=name)
+    return PhiIterator(JacobiIterator(), model)
 
 
 def _geometry_kind(kind: str) -> str:

@@ -143,11 +143,6 @@ def transposed_conv2d(x: np.ndarray, w: np.ndarray, stride: int = 2) -> np.ndarr
     return conv2d_input_grad(x, w, stride, (stride * (H - 1) + 1, stride * (W - 1) + 1))
 
 
-def transposed_conv2d_input_grad(gy: np.ndarray, w: np.ndarray,
-                                 stride: int) -> np.ndarray:
-    return conv2d(gy, w, stride)
-
-
 def transposed_conv2d_weight_grad(x: np.ndarray, gy: np.ndarray,
                                   stride: int) -> np.ndarray:
     return conv2d_weight_grad(gy, x, stride)

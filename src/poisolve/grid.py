@@ -16,25 +16,27 @@ whose fixed point must satisfy the residual definition below.
 All 5-point arithmetic runs in two kernels: :func:`_stencil`, the one
 sweep, plain or damped (which the iterators' steps and so the training
 adjoint call), and :func:`_laplacian_run`, the arithmetic of A, which
-:func:`residual` (the one f - A u) and laplacian_apply finish. Both view
-a field, or a stack of fields, as one flat run of cells in row order,
-so the four neighbours of each cell in rows 1..n-2 of its field are
-contiguous slices at offsets -n, +n, -1, +1, summed N + S, + W, + E
-into the output buffer with no padded copy, and the update runs on that
-run in place, with no callback. Columns 0 and n-1 then hold wrapped
-values and rows 0 and n-1 values read across fields or none; all of
-them are exterior cells (mask != 1), because the outermost frame is
-always boundary (mask = 0), which make_problem enforces and
-dataclasses.replace keeps. Every exterior cell is then written by its
-flat index: with b by :func:`set_boundary`, the one boundary writer,
-which every step ends with (so no correction added before it is masked,
-and no f at an exterior cell is read), or with 0 by :func:`zero_exterior`
-(laplacian_apply, with no mask, slices the frame). A Problem builds its
-mask's exterior indices and coarse chain of multigrid levels once, and
-dataclasses.replace passes them on while the mask is the same object
-(see :class:`Exterior`), so no step compares the mask. Interior cells see
-the same operations in the same order as the zero-padded slice formulas,
-so results match those bit for bit (the tests hold them as references).
+:func:`residual` (the one f - A u) and laplacian_apply finish. Both start
+from :func:`_neighbour_sum`, which views a field, or a stack of fields,
+as one flat run of cells in row order, so the four neighbours of each
+cell in rows 1..n-2 of its field are contiguous slices at offsets -n, +n,
+-1, +1, summed N + S, + W, + E into the output buffer with no padded
+copy; each kernel finishes its update on that run in place, with no
+callback. Columns 0 and n-1 then hold wrapped values and rows 0 and n-1
+values read across fields or none; all of them are exterior cells
+(mask != 1), because the outermost frame is always boundary (mask = 0),
+which make_problem enforces and dataclasses.replace keeps. Every exterior
+cell is then written by its flat index: with b by :func:`set_boundary`,
+the one boundary writer, which every step ends with (so no correction
+added before it is masked, and no f at an exterior cell is read) and
+which masks training's errors and adjoints on their b = 0 problem; with
+0 by residual (laplacian_apply, with no mask, slices the frame). A
+Problem builds its mask's exterior indices and coarse chain of multigrid
+levels once, and dataclasses.replace passes them on while the mask is the
+same object (see :class:`Exterior`), so no step compares the mask.
+Interior cells see the same operations in the same order as the
+zero-padded slice formulas, so results match those bit for bit (the
+tests hold them as references).
 """
 
 from __future__ import annotations
@@ -127,8 +129,8 @@ class Problem:
     since they are never written after the Problem is built. exterior
     (see Exterior) is left to __post_init__: dataclasses.replace passes
     it on, and it is rebuilt only for another mask object, its b values
-    alone for another b. has_source is set when the Problem is built,
-    also by replace; scaled_source and homogeneous on their first use.
+    alone for another b. scaled_source and homogeneous are built on
+    their first use.
     """
 
     mask: np.ndarray
@@ -136,8 +138,6 @@ class Problem:
     f: np.ndarray
     h: float
     exterior: Exterior | None = field(default=None, repr=False, compare=False)
-    # whether f has a nonzero cell
-    has_source: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exterior = self.exterior
@@ -146,15 +146,17 @@ class Problem:
         elif exterior.b is not self.b:
             exterior = Exterior(self.mask, self.b, exterior)
         object.__setattr__(self, "exterior", exterior)
-        object.__setattr__(self, "has_source", bool(self.f.any()))
 
     @property
     def n(self) -> int:
         return self.mask.shape[0]
 
     @cached_property
-    def scaled_source(self) -> np.ndarray:
-        """(h^2/4) f over rows 1..n-2, the term a sweep adds."""
+    def scaled_source(self) -> np.ndarray | None:
+        """(h^2/4) f over rows 1..n-2, the term a sweep adds; None if f has
+        no nonzero cell, since adding (h^2/4) * 0 would change no value."""
+        if not self.f.any():
+            return None
         return 0.25 * self.h * self.h * self.f[..., 1:-1, :]
 
     @cached_property
@@ -220,17 +222,13 @@ class CostReport:
     converged: bool
 
 
-def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
-    """One sweep of a field or stack of fields u on p, with reset.
+def _neighbour_sum(u: Field, n: int) -> tuple[Field, Field, Field]:
+    """A new output buffer, the flat run in it, and u's own run.
 
-    The plain Jacobi update (N + S + W + E)/4 + (h^2/4) f if omega is
-    None, else that update damped by omega, (1 - omega) u + omega (...).
-    The neighbour sum ((N + S) + W) + E and the update run in place on
-    the flat run of the output from row 1 of the first field to row n-2
-    of the last (see the module docstring); then every exterior cell,
-    which includes each cell outside that run, takes its value of b.
+    The run goes from row 1 of the first field to row n-2 of the last and
+    holds ((N + S) + W) + E of u (see the module docstring); the cells of
+    the buffer outside it are left for the caller to write.
     """
-    n = p.n
     out = np.empty(u.shape)
     flat = out.reshape(-1)
     m = flat.size
@@ -239,12 +237,25 @@ def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
     np.add(uf[:-2 * n], uf[2 * n:], s)
     s += uf[n - 1:m - n - 1]
     s += uf[n + 1:m - n + 1]
+    return out, s, uf[n:m - n]
+
+
+def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
+    """One sweep of a field or stack of fields u on p, with reset.
+
+    The plain Jacobi update (N + S + W + E)/4 + (h^2/4) f if omega is
+    None, else that update damped by omega, (1 - omega) u + omega (...),
+    run in place on the neighbour sum; then every exterior cell, which
+    includes each cell outside that run, takes its value of b.
+    """
+    out, s, own = _neighbour_sum(u, p.n)
     s *= 0.25
-    if p.has_source:  # adding (h^2/4) * 0 would change no value
-        out[..., 1:-1, :] += p.scaled_source
+    source = p.scaled_source
+    if source is not None:
+        out[..., 1:-1, :] += source
     if omega is not None:
         s *= omega
-        s += (1.0 - omega) * uf[n:m - n]
+        s += (1.0 - omega) * own
     return set_boundary(out, p)
 
 
@@ -255,33 +266,13 @@ def set_boundary(a: Field, p: Problem) -> Field:
     return a
 
 
-def zero_exterior(a: Field, exterior: Exterior) -> Field:
-    """a, a field or stack (..., n, n), with its exterior cells set to 0.0.
-
-    For fields whose zeros there are read: residuals, training's start
-    errors and adjoints. A C-contiguous a is written in place, so it must
-    be the caller's own array; any other is copied first. The result has
-    the bits of np.where(mask == 1, a, 0.0).
-    """
-    a = np.ascontiguousarray(a)
-    a.reshape(-1)[exterior[a.shape][0]] = 0.0
-    return a
-
-
 def _laplacian_run(u: Field, n: int, h: float) -> Field:
-    """(((N + S) + W) + E - 4u) / h^2 of u, on the flat run as in _stencil.
+    """(((N + S) + W) + E - 4u) / h^2 of u, on the flat run of _neighbour_sum.
 
     Exterior cells are left for the caller to write.
     """
-    out = np.empty(u.shape)
-    flat = out.reshape(-1)
-    m = flat.size
-    s = flat[n:m - n]
-    uf = u.reshape(-1)
-    np.add(uf[:-2 * n], uf[2 * n:], s)
-    s += uf[n - 1:m - n - 1]
-    s += uf[n + 1:m - n + 1]
-    s -= 4.0 * uf[n:m - n]
+    out, s, own = _neighbour_sum(u, n)
+    s -= 4.0 * own
     s /= h * h
     return out
 
@@ -310,7 +301,8 @@ def residual(u: Field, p: Problem) -> Field:
     """
     out = _laplacian_run(u, p.n, p.h)
     out[..., 1:-1, :] += p.f[..., 1:-1, :]
-    return zero_exterior(out, p.exterior)
+    out.reshape(-1)[p.exterior[out.shape][0]] = 0.0
+    return out
 
 
 def reset(u: Field, p: Problem) -> Field:

@@ -14,13 +14,13 @@ sweeps alone. The standalone Jacobi iterator stays undamped.
 Both sweeps, plain and damped, for a field or a stack, are one kernel,
 :func:`poisolve.grid._stencil`, and every f - A u here is
 :func:`poisolve.grid.residual`. A sweep adds Problem.scaled_source,
-(h^2/4) f multiplied once when the problem is built, and writes b at
-the exterior cells by the indices the problem keeps (Problem.exterior),
-so no step multiplies the source or compares the mask. When f has no
-nonzero cell (a homogeneous problem, as every training and
-certification step runs on; Problem.has_source) the sweeps skip the
-source, which changes no value: only an exact zero may come out as -0.0
-where the padded formula gives +0.0. The V-cycle writes b over its
+(h^2/4) f multiplied once per problem, and writes b at the exterior
+cells by the indices the problem keeps (Problem.exterior), so no step
+multiplies the source or compares the mask. When f has no nonzero cell
+(a homogeneous problem, as every training and certification step runs
+on) scaled_source is None and the sweeps skip the source, which changes
+no value: only an exact zero may come out as -0.0 where the padded
+formula gives +0.0. The V-cycle writes b over its
 prolonged correction with :func:`poisolve.grid.set_boundary` and leaves
 its restricted residual unmasked (no f at an exterior cell is read), on
 the mask's coarse chain of levels (grid.Exterior.coarse).

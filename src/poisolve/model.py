@@ -34,7 +34,6 @@ from .conv import (
     conv2d_input_grad,
     conv2d_weight_grad,
     transposed_conv2d,
-    transposed_conv2d_input_grad,
     transposed_conv2d_weight_grad,
 )
 from .grid import Field, FileFormatError, _floats, _write_rows, set_boundary
@@ -151,7 +150,7 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
         if transposed:
             pending.append(g)
             grad[0, 0] += transposed_conv2d_weight_grad(x, g, stride)
-            g = transposed_conv2d_input_grad(g, w, stride)
+            g = conv2d(g, w, stride)
         else:
             grad[0, 0] += conv2d_weight_grad(x, g, stride)
             g = conv2d_input_grad(g, w, stride, x.shape[1:])
@@ -194,10 +193,10 @@ def model_cost(model: CorrectionModel, n: int) -> tuple[int, int]:
 class PhiIterator(Iterator):
     """Base solver plus the learned correction of its own update, on interior cells."""
 
-    def __init__(self, base: Iterator, model: CorrectionModel, name: str | None = None):
+    def __init__(self, base: Iterator, model: CorrectionModel):
         self.base = base
         self.model = model
-        self.name = name or f"{model.arch}{model.depth}+{base.name}"
+        self.name = f"{model.arch}{model.depth}"
 
     def step(self, u, p, tape: list | None = None):
         """One wrapped step; a tape, if given, records the correction net's pass."""
@@ -233,11 +232,11 @@ def _ints(tokens: list[str], what: str, line: int) -> list[int]:
 def load_model(path) -> CorrectionModel:
     """Read a model file.
 
-    A malformed line raises FileFormatError with its line number; so does a
-    header whose depth exceeds the file's line count (on line 1, before the
-    plan is built), a layer header off _layer_plan for the header's arch and
-    depth, and a file that ends before the plan does, on its first missing
-    line.
+    A malformed line, a non-finite kernel value among them, raises
+    FileFormatError with its line number; so does a header whose depth
+    exceeds the file's line count (on line 1, before the plan is built), a
+    layer header off _layer_plan for the header's arch and depth, and a
+    file that ends before the plan does, on its first missing line.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -287,6 +286,8 @@ def load_model(path) -> CorrectionModel:
             raise FileFormatError("kernel row needs 9 values", pos + 1)
         w = _floats([vals], [1], 9, pos + 1,
                     "bad numeric value in kernel row").reshape(1, 1, 3, 3)
+        if not np.isfinite(w).all():
+            raise FileFormatError("non-finite value in kernel row", pos + 1)
         pos += 1
         layers.append(ConvLayer(w))
     if len(layers) < len(plan):

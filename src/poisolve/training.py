@@ -16,9 +16,10 @@ at its own k: step t advances only the samples still short of their k.
 Gradients are computed by an explicit reverse pass over the unrolled
 steps, which takes each sample in at its own k: the sweep's linear part
 is self-adjoint on interior cells, so its adjoint is the sweep itself
-(:func:`poisolve.iterators.jacobi_step` on the homogeneous problem) after
-masking, and the adjoint of the correction net is the walk over the
-layer-input tape in :mod:`poisolve.model`.
+(:func:`poisolve.iterators.jacobi_step` on the homogeneous problem) of
+the adjoint masked by :func:`poisolve.grid.set_boundary`, which writes
+b = 0 there and so is its own adjoint, and the adjoint of the correction
+net is the walk over the layer-input tape in :mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
 usable with any base at inference time.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import square_problem
-from .grid import Field, Problem, zero_exterior
+from .grid import Field, Problem, set_boundary
 from .iterators import JacobiIterator, ground_truth, jacobi_step
 from .model import CorrectionModel, PhiIterator, backward, init_model, parse_arch
 from .spectral import DENSE_MAX_N, contracts, linear_part, spectral_radius
@@ -85,8 +86,9 @@ def default_config(arch: str, **overrides) -> TrainConfig:
 class Batch:
     """One training step's samples, all on one geometry.
 
-    geometry is the homogeneous problem (b = 0, f = 0) the errors step on
-    (the square, for sample_batch), e0 the (B, n, n) stack of start errors
+    geometry may be any problem of the geometry (the square, for
+    sample_batch); the batch keeps its homogeneous twin (b = 0, f = 0),
+    which the errors step on. e0 is the (B, n, n) stack of start errors
     mask (u0 - u*), zero off the interior, and ks[i] the number of steps
     sample i is unrolled for.
     """
@@ -96,6 +98,7 @@ class Batch:
     ks: list[int]
 
     def __post_init__(self):
+        self.geometry = self.geometry.homogeneous
         if self.e0.shape != (len(self.ks), self.geometry.n, self.geometry.n):
             raise ValueError(f"start errors of shape {self.e0.shape} do not match "
                              f"{len(self.ks)} samples on n = {self.geometry.n}")
@@ -149,7 +152,7 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
         z = rng.standard_normal((n, n))
         e0[i] = z - cache.solution(sides)
         ks.append(int(rng.integers(1, cfg.k_max + 1)))
-    return Batch(cache.geometry, zero_exterior(e0, cache.geometry.exterior), ks)
+    return Batch(cache.geometry, set_boundary(e0, cache.geometry.homogeneous), ks)
 
 
 # ------------------------------------------------------------------
@@ -211,12 +214,12 @@ def loss_and_grad(model: CorrectionModel, batch: Batch):
             if live[t] > len(g):  # samples whose k = t enter the adjoint here
                 g = np.concatenate([g, scale * retired[t - 1]])
             # g is this pass's own array, masked in place
-            gw = backward(model, tapes[t - 1], zero_exterior(g, p.exterior), grads)
+            gw = backward(model, tapes[t - 1], set_boundary(g, p), grads)
             # the sweep's linear part u -> M (N+S+W+E)/4 has the adjoint
             # g -> (N+S+W+E)/4 of M g; a sweep of M g is that, op for op, at
             # interior cells and 0 elsewhere, where g is never read: backward
             # gets M g, and the next step masks g + gw again
-            g = jacobi_step(zero_exterior(g + gw, p.exterior), p) - gw
+            g = jacobi_step(set_boundary(g + gw, p), p) - gw
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite adjoint at unroll step {t}")
     if not all(np.isfinite(gr).all() for gr in grads):

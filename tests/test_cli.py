@@ -245,6 +245,18 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_kernel_value_exits_2(self, tmp_path, capsys, value):
+        # before solving a step, not as a diverged solve (exit 3)
+        lines = (MODELS_DIR / "conv3.model").read_text().splitlines()
+        lines[2] = " ".join([value] + lines[2].split()[1:])
+        path = tmp_path / "conv3.model"
+        path.write_text("\n".join(lines) + "\n")
+        argv = _solve("--model", str(path))(tmp_path)
+        argv[argv.index("jacobi")] = "conv3"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: line 3: non-finite value in kernel row\n")
+
     def test_bench_start_within_tol_exits_0(self, capsys):
         # the start field already meets --tol 2, so both solves take 0 steps
         code, out, err = run(capsys, "bench", "--model", str(MODELS_DIR / "conv3.model"),

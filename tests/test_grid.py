@@ -14,7 +14,6 @@ from poisolve.grid import (
     residual_norms,
     save_field,
     save_problem,
-    zero_exterior,
 )
 from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.iterators import ground_truth, jacobi_step
@@ -254,11 +253,11 @@ class TestProblemInvariants:
         f = np.zeros((n, n))
         f[0, 0] = -0.0
         p = make_problem(mask, np.zeros((n, n)), f)
-        assert not p.has_source
+        assert p.scaled_source is None
         f[2, 2] = 1e-300  # make_problem copied f
-        assert not p.has_source
-        assert replace(p, f=f).has_source
-        assert not replace(p, f=np.zeros((3, n, n))).has_source
+        assert p.scaled_source is None
+        assert replace(p, f=f).scaled_source is not None
+        assert replace(p, f=np.zeros((3, n, n))).scaled_source is None
 
 
 class TestExterior:
@@ -304,7 +303,7 @@ class TestExterior:
         p = self._lshape()
         z = p.homogeneous
         assert z is p.homogeneous  # built once
-        assert z.mask is p.mask and z.h == p.h and not z.has_source
+        assert z.mask is p.mask and z.h == p.h and z.scaled_source is None
         assert not z.b.any() and not z.f.any() and not z.b.flags.writeable
         assert z.exterior.index is p.exterior.index
         assert z.exterior.coarse is p.exterior.coarse
@@ -367,19 +366,6 @@ class TestExterior:
         p = self._lshape()
         with pytest.raises(ValueError, match="does not match problem n=17"):
             jacobi_step(np.zeros((9, 9)), p)
-
-    def test_zero_exterior_matches_where(self):
-        p = self._lshape()
-        a = np.random.default_rng(3).standard_normal((2, 17, 17))
-        expect = np.where(p.mask == 1, a, 0.0)
-        out = zero_exterior(a, p.exterior)
-        assert out is a and np.array_equal(out.view(np.int64), expect.view(np.int64))
-        # a view that is not C-contiguous is copied, not written
-        b = np.random.default_rng(4).standard_normal((17, 34))[:, ::2]
-        before = b.copy()
-        out = zero_exterior(b, p.exterior)
-        assert np.array_equal(b, before)
-        assert np.array_equal(out, np.where(p.mask == 1, before, 0.0))
 
 
 class TestFileRoundTrips:

@@ -629,7 +629,8 @@ class TestFlatStencil:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n", [3, 17, 65])
     def test_stacked_data_as_in_training_unroll(self, kernel, n):
-        # b and f stacked per sample, shape (B, 1, n, n), like the unroll's
+        # b and f stacked per sample, shape (B, 1, n, n): training steps one
+        # unstacked geometry, but a Problem still accepts stacked b and f
         fn, ref = KERNELS[kernel]
         rng = np.random.default_rng(8)
         for p in _stencil_problems(n):

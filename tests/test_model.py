@@ -227,11 +227,13 @@ class TestInitAndFiles:
         (_HEAD + "layer 0 in 1 out 1 stride 3 transposed 0\n" + _ROW, 2, "stride"),
         (_HEAD + "layer 0 in 1 out 1 stride 1 transposed 2\n" + _ROW, 2, "transposed"),
         (_HEAD + _LAYER + "0 0 0 0 x 0 0 0 0\n", 3, "numeric"),
+        (_HEAD + _LAYER + "0 0 0 0 nan 0 0 0 0\n", 3, "non-finite value in kernel row"),
+        (_HEAD + _LAYER + "inf 0 0 0 0 0 0 0 0\n", 3, "non-finite value in kernel row"),
         (_HEAD + _LAYER, 3, "missing kernel row"),
         (_HEAD + _LAYER + _ROW + "layer 1 in 1 out 1\n", 4, "layer header"),
         (_HEAD + _LAYER + _ROW + _LAYER + _ROW, 4, "layer index 0, expected 1"),
     ], ids=["header-int", "header-depth", "layer-int", "layer-channels", "stride",
-            "transposed", "kernel-value", "kernel-row", "layer-header", "layer-index"])
+            "transposed", "kernel-value", "kernel-nan", "kernel-inf", "kernel-row", "layer-header", "layer-index"])
     def test_load_error_names_its_line(self, tmp_path, text, line, match):
         path = tmp_path / "bad.model"
         path.write_text(text)

@@ -148,6 +148,21 @@ class TestLoss:
         got = loss(m, Batch(batch.geometry, batch.e0[:1], [1]))
         assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
+    def test_batch_steps_on_the_homogeneous_twin(self):
+        # the errors step on b = 0, f = 0 whatever problem of the geometry the
+        # batch is given; b written into them would change loss and gradient
+        p = square_problem(17, (0.3, -0.4, 0.7, 0.2))
+        rng = np.random.default_rng(0)
+        e0 = np.where(p.mask == 1, rng.standard_normal((2, 17, 17)), 0.0)
+        m = init_model("conv3", 1)
+        on_p, on_twin = Batch(p, e0, [3, 1]), Batch(p.homogeneous, e0, [3, 1])
+        assert loss(m, on_p) == loss(m, on_twin)
+        (value_p, grads_p), (value_twin, grads_twin) = (
+            loss_and_grad(m, on_p), loss_and_grad(m, on_twin))
+        assert value_p == value_twin
+        for gp, gt in zip(grads_p, grads_twin):
+            assert np.array_equal(gp, gt)
+
     def test_empty_batch_rejected(self, cache17):
         with pytest.raises(ValueError):
             loss(zero_model("conv1"), Batch(cache17.geometry, np.zeros((0, 17, 17)), []))
