@@ -1,15 +1,16 @@
 """Command-line surface: gen | train | solve | spectral | bench.
 
 Exit codes: 0 success, 2 validation failure (a ValueError or OSError: bad
-inputs, invariant violations, uncertified models), 3 non-convergence: a solve that misses
-its tolerance, a reference solution that cannot be computed
-(iterators.ReferenceSolveError) or a training run that diverges
-(training.TrainingError). Every error is printed as ``error: ...``.
+inputs, invariant violations, uncertified models, unwritable outputs), 3
+non-convergence: a solve that misses its tolerance, a reference solution
+that cannot be computed (iterators.ReferenceSolveError) or a training run
+that diverges (training.TrainingError). Every error is printed as ``error: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -187,6 +188,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an output that cannot be written is refused now, not after a long run
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "report", None))):
+            parent = os.path.dirname(os.path.abspath(path))
+            if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+                raise OSError(f"cannot write {path}: not a file in a writable directory")
         return args.func(args)
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

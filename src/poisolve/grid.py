@@ -15,9 +15,8 @@ whose fixed point must satisfy the residual definition below.
 
 All 5-point arithmetic runs in two kernels: :func:`_stencil`, the one
 sweep, plain or damped (which the iterators' steps and so the training
-adjoint call), and :func:`_laplacian_run`, the arithmetic of A, which
-:func:`residual` (the one f - A u) and laplacian_apply finish. Both start
-from :func:`_neighbour_sum`, which views a field, or a stack of fields,
+adjoint call), and :func:`residual`, the one f - A u. Both start from
+:func:`_neighbour_sum`, which views a field, or a stack of fields,
 as one flat run of cells in row order, so the four neighbours of each
 cell in rows 1..n-2 of its field are contiguous slices at offsets -n, +n,
 -1, +1, summed N + S, + W, + E into the output buffer with no padded
@@ -30,10 +29,10 @@ cell is then written by its flat index: with b by :func:`set_boundary`,
 the one boundary writer, which every step ends with (so no correction
 added before it is masked, and no f at an exterior cell is read) and
 which masks training's errors and adjoints on their b = 0 problem; with
-0 by residual (laplacian_apply, with no mask, slices the frame). A
-Problem builds its mask's exterior indices and coarse chain of multigrid
-levels once, and dataclasses.replace passes them on while the mask is the
-same object (see :class:`Exterior`), so no step compares the mask.
+0 by residual (laplacian_apply is residual on the f = 0 problem framed
+by the outermost cells). A Problem builds its mask's exterior indices and
+coarse chain once, and dataclasses.replace passes them on while the mask
+is the same object (see :class:`Exterior`), so no step compares the mask.
 Interior cells see the same operations in the same order as the
 zero-padded slice formulas, so results match those bit for bit (the
 tests hold them as references).
@@ -261,37 +260,25 @@ def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
 
 def set_boundary(a: Field, p: Problem) -> Field:
     """a, a C-contiguous field or stack, with b written at its exterior cells in place."""
+    if not a.flags.c_contiguous:  # the write would land in a flat copy of a
+        raise ValueError("set_boundary writes in place and needs a C-contiguous array")
     cells, values = p.exterior[a.shape]
     a.reshape(-1)[cells] = values
     return a
-
-
-def _laplacian_run(u: Field, n: int, h: float) -> Field:
-    """(((N + S) + W) + E - 4u) / h^2 of u, on the flat run of _neighbour_sum.
-
-    Exterior cells are left for the caller to write.
-    """
-    out, s, own = _neighbour_sum(u, n)
-    s -= 4.0 * own
-    s /= h * h
-    return out
 
 
 def laplacian_apply(u: Field, h: float) -> Field:
     """5-point discrete Laplacian, zero on the outermost frame.
 
     At non-frame cells returns
-    (u[i-1,j] + u[i+1,j] + u[i,j-1] + u[i,j+1] - 4*u[i,j]) / h**2.
-    u may be a stack of fields, shape (..., n, n).
+    (u[i-1,j] + u[i+1,j] + u[i,j-1] + u[i,j+1] - 4*u[i,j]) / h**2 = -A u,
+    the residual of u, a field or stack, on the f = 0 problem on that frame.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 2 or u.shape[-2] != u.shape[-1] or u.shape[-1] < 3:
         raise ValueError(f"need a square grid of size >= 3, got shape {u.shape}")
-    n = u.shape[-1]
-    out = _laplacian_run(u, n, h)
-    out[..., ::n - 1, :] = 0.0  # rows 0 and n-1
-    out[..., ::n - 1] = 0.0  # columns 0 and n-1
-    return out
+    mask = np.pad(np.ones((u.shape[-1] - 2,) * 2), 1)
+    return residual(u, make_problem(mask, 0 * mask, 0 * mask, h))
 
 
 def residual(u: Field, p: Problem) -> Field:
@@ -299,7 +286,9 @@ def residual(u: Field, p: Problem) -> Field:
 
     u may be a stack, shape (..., n, n); p.f broadcasts against it.
     """
-    out = _laplacian_run(u, p.n, p.h)
+    out, s, own = _neighbour_sum(u, p.n)
+    s -= 4.0 * own
+    s /= p.h * p.h
     out[..., 1:-1, :] += p.f[..., 1:-1, :]
     out.reshape(-1)[p.exterior[out.shape][0]] = 0.0
     return out
@@ -337,13 +326,24 @@ def l2_norm(u: Field) -> float:
     return math.sqrt(np.vdot(u, u))
 
 
-def relative_error(u: Field, u_star: Field) -> float:
-    """||u - u*||_2 / ||u*||_2 over all cells; absolute norm if u* = 0."""
-    if u.shape != u_star.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {u_star.shape}")
-    diff = l2_norm(u - u_star)
+def _relative_error_to(u_star: Field):
+    """u -> relative_error(u, u_star), with ||u*|| taken once and one
+    u - u* buffer that every call rewrites."""
     denom = l2_norm(u_star)
-    return diff / denom if denom > 0 else diff
+    scale = denom if denom > 0 else 1.0
+    diff = np.empty(u_star.shape)
+
+    def error(u: Field) -> float:
+        if u.shape != u_star.shape:
+            raise ValueError(f"shape mismatch: {u.shape} vs {u_star.shape}")
+        np.subtract(u, u_star, diff)
+        return l2_norm(diff) / scale
+    return error
+
+
+def relative_error(u: Field, u_star: Field) -> float:
+    """||u - u*||_2 / ||u*||_2 over all cells; absolute norm ||u - u*||_2 if u* = 0."""
+    return _relative_error_to(u_star)(u)
 
 
 # ------------------------------------------------------------------

@@ -56,8 +56,8 @@ from .grid import (
     Exterior,
     Field,
     Problem,
+    _relative_error_to,
     _stencil,
-    l2_norm,
     reset,
     residual,
     residual_norms,
@@ -246,12 +246,13 @@ def solve_to_tol(
     """Iterate until the error or residual criterion is met.
 
     With u_star: stop when grid.relative_error(u, u_star) <= threshold,
-                 with ||u*|| computed once per solve and u - u* written
-                 into one buffer that every test rewrites (it is never
-                 returned: u is u0 or the last step's own field).
-    Without:     stop when max |grid.residual(u, p)| drops below threshold
+                 tested by its own map, built once per solve (one u - u*
+                 buffer, rewritten by every test and never returned: u is
+                 u0 or the last step's own field).
+    Without:     stop when max |grid.residual(u, p)| drops to threshold
                  times that of u0 (an Iterator keeps the boundary exact).
-    Exceeding max_steps is reported via converged=False, not raised.
+    The report's final_relative_error is the last tested ratio; exceeding
+    max_steps is reported via converged=False, not raised.
     """
     check_threshold(threshold)
     if max_steps < 0:
@@ -259,15 +260,7 @@ def solve_to_tol(
     layers_per, ops_per = it.step_cost(p)
 
     if u_star is not None:
-        if u0.shape != u_star.shape:
-            raise ValueError(f"shape mismatch: {u0.shape} vs {u_star.shape}")
-        denom = l2_norm(u_star)
-        scale = denom if denom > 0 else 1.0
-        diff = np.empty(u_star.shape)  # u - u*, rewritten by every test
-
-        def error(u):
-            np.subtract(u, u_star, diff)
-            return l2_norm(diff) / scale
+        error = _relative_error_to(u_star)  # which also checks u's shape
     else:
         initial = residual_norms(p, u0)[0]  # which also checks u0's shape
         scale = initial if initial > 0 else 1.0

@@ -257,6 +257,30 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: line 3: non-finite value in kernel row\n")
 
+    @pytest.mark.parametrize("target", ["missing/out", "file/out", "dir"])
+    @pytest.mark.parametrize("command, option", [
+        ("gen", "--out"), ("solve", "--out"), ("train", "--out"), ("train", "--report"),
+        ("bench", "--report")])
+    def test_unwritable_output_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                      command, option, target):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before the output was checked")
+
+        monkeypatch.setattr(cli, "generate", never)
+        monkeypatch.setattr(cli, "train", never)
+        monkeypatch.setattr(cli, "solve_to_tol", never)
+        monkeypatch.setattr(bench_mod, "run_benchmark", never)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / target)
+        argv = {"gen": lambda _: ["gen", "--kind", "square", "--n", "9"],
+                "solve": _solve(), "train": _train(),
+                "bench": lambda _: ["bench", "--model", str(MODELS_DIR / "conv3.model")],
+                }[command](tmp_path)
+        code, out, err = run(capsys, *argv, option, path)
+        assert (code, out, err) == (
+            2, "", f"error: cannot write {path}: not a file in a writable directory\n")
+
     def test_bench_start_within_tol_exits_0(self, capsys):
         # the start field already meets --tol 2, so both solves take 0 steps
         code, out, err = run(capsys, "bench", "--model", str(MODELS_DIR / "conv3.model"),

@@ -11,9 +11,11 @@ from poisolve.grid import (
     make_problem,
     relative_error,
     reset,
+    residual,
     residual_norms,
     save_field,
     save_problem,
+    set_boundary,
 )
 from poisolve.geometry import SETTINGS, GeometrySpec, generate, random_geometry
 from poisolve.iterators import ground_truth, jacobi_step
@@ -58,6 +60,20 @@ class TestLaplacian:
         rhs = a * laplacian_apply(u, 0.1) + b * laplacian_apply(v, 0.1)
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(17, 17), (3, 17, 17)])
+    def test_is_the_residual_on_the_framed_f0_problem(self, shape):
+        u = np.random.default_rng(2).standard_normal(shape)
+        mask = np.zeros((17, 17))
+        mask[1:-1, 1:-1] = 1
+        q = make_problem(mask, np.zeros((17, 17)), np.zeros((17, 17)), h=0.3)
+        assert np.array_equal(laplacian_apply(u, 0.3).view(np.int64),
+                              residual(u, q).view(np.int64))
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, np.inf, np.nan])
+    def test_bad_mesh_width_rejected(self, h):
+        with pytest.raises(ValueError, match="mesh width must be finite and positive"):
+            laplacian_apply(np.zeros((5, 5)), h)
 
 
 class TestReset:
@@ -185,6 +201,10 @@ class TestRelativeError:
         u = np.zeros((3, 3))
         u[1, 1] = 3.0
         assert relative_error(u, np.zeros((3, 3))) == 3.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 3\) vs \(4, 4\)"):
+            relative_error(np.zeros((3, 3)), np.ones((4, 4)))
 
 
 class TestProblemInvariants:
@@ -314,6 +334,20 @@ class TestExterior:
         out = reset(u, p)
         assert np.array_equal(out[p.mask == 0], p.b[p.mask == 0])
         assert np.array_equal(out[p.mask == 1], u[p.mask == 1])
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided-stack"])
+    def test_set_boundary_refuses_what_it_cannot_write_in_place(self, layout):
+        # a flat view of these arrays is a copy, which would take the write
+        p = self._lshape()
+        rng = np.random.default_rng(7)
+        if layout == "fortran":
+            a = np.asfortranarray(rng.standard_normal((17, 17)))
+        else:
+            a = rng.standard_normal((3, 17, 17))[::2]
+        before = a.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            set_boundary(a, p)
+        assert np.array_equal(a, before)
 
     def test_replace_with_another_mask_rebuilds(self):
         p = self._lshape()
