@@ -75,7 +75,7 @@ def cmd_solve(args) -> int:
     rng = np.random.default_rng(args.seed)
     u0 = reset(rng.standard_normal((p.n, p.n)), p)
     u, report = solve_to_tol(it, p, u0, args.tol, args.max_steps)
-    print("iterations,conv_layers,mul_adds,final_relative_error,converged")
+    print("iterations,conv_layers,mul_adds,final_residual_ratio,converged")
     print(f"{report.iterations},{report.conv_layers},{report.mul_adds},"
           f"{report.final_relative_error:.6g},{int(report.converged)}")
     if args.out:

@@ -3,9 +3,9 @@
 A field is a plain (n, n) float64 array; the stencil and the iterator
 steps also take a stack of fields, shape (..., n, n), and treat each
 slice on its own. A :class:`Problem` bundles the geometry mask, Dirichlet
-boundary values, and source term for one discretized instance of the
-Poisson problem on the unit square with mesh width h = 1/(n-1). The
-discrete system solved throughout this package is
+boundary values b, one (n, n) field, and source term f, a field or a
+stack, for one discretized Poisson problem on the unit square with mesh
+width h = 1/(n-1). The discrete system solved throughout this package is
 
     (4*u[i,j] - u[i-1,j] - u[i+1,j] - u[i,j-1] - u[i,j+1]) / h**2 = f[i,j]
 
@@ -30,9 +30,9 @@ the one boundary writer, which every step ends with (so no correction
 added before it is masked, and no f at an exterior cell is read) and
 which masks training's errors and adjoints on their b = 0 problem; with
 0 by residual (laplacian_apply is residual on the f = 0 problem framed
-by the outermost cells). A Problem builds its mask's exterior indices and
-coarse chain once, and dataclasses.replace passes them on while the mask
-is the same object (see :class:`Exterior`), so no step compares the mask.
+by the outermost cells). Every Exterior of a mask holds the mask's cells
+and coarse chain, built once, by reference; dataclasses.replace passes it
+on while the mask is the same object, so no step compares the mask.
 Interior cells see the same operations in the same order as the
 zero-padded slice formulas, so results match those bit for bit (the
 tests hold them as references).
@@ -67,31 +67,28 @@ class Exterior(dict):
     coarse is the Exterior, with b = 0, of the injected mask mask[::2, ::2]
     (a coarse cell is interior only if its aligned fine cell is); it is
     None where n - 1 is odd or that mask has no interior cell. Both depend
-    on the mask alone: the mask's first Exterior builds them on first use,
-    and one made from it for another b (source) reads them there. self[shape]
-    is (cells, values) for a C-ordered (..., n, n) array: index repeated in
-    every field, offset by the field's start, and b, broadcast against the
-    stack, at those cells. It is built on the first lookup of each shape
-    and kept, so a sweep writes its frame with one indexed assignment.
+    on the mask alone: its first Exterior builds them on first use, and
+    every other one, made for another b with like=, holds them by reference.
+    self[shape] is (cells, values) for a C-ordered (..., n, n) array: index
+    repeated in every field, offset by the field's start, and the values of
+    b, one (n, n) field, at index, tiled over the fields. It is built on
+    the first lookup of each shape and kept, so a sweep writes its frame
+    with one indexed assignment.
     """
 
-    def __init__(self, mask: np.ndarray, b: np.ndarray, source: Exterior | None = None):
+    def __init__(self, mask: np.ndarray, b: np.ndarray, like: Exterior | None = None):
         super().__init__()
         self.mask = mask
         self.b = b
-        # the mask's first Exterior, which builds index and coarse
-        self.source = source if source is None or source.source is None else source.source
+        if like is not None:
+            self.index, self.coarse = like.index, like.coarse
 
     @cached_property
     def index(self) -> np.ndarray:
-        if self.source is not None:
-            return self.source.index
         return np.flatnonzero(self.mask.reshape(-1) != 1)
 
     @cached_property
     def coarse(self) -> Exterior | None:
-        if self.source is not None:
-            return self.source.coarse
         if self.mask.shape[0] % 2 == 0:
             return None
         mask = self.mask[::2, ::2].copy()
@@ -105,11 +102,9 @@ class Exterior(dict):
         n = self.mask.shape[0]
         if shape[-2:] != (n, n):
             raise ValueError(f"field shape {shape} does not match problem n={n}")
-        lead = shape[:-2]
-        offsets = n * n * np.arange(math.prod(lead))
-        cells = (offsets[:, None] + self.index).reshape(-1)
-        values = self.b.reshape(self.b.shape[:-2] + (n * n,))[..., self.index]
-        values = np.broadcast_to(values, lead + self.index.shape).reshape(-1)
+        count = math.prod(shape[:-2])
+        cells = (n * n * np.arange(count)[:, None] + self.index).reshape(-1)
+        values = np.tile(self.b.reshape(-1)[self.index], count)
         self[shape] = cells, values
         return cells, values
 
@@ -120,16 +115,18 @@ class Problem:
 
     mask is 1 at interior cells (unknowns) and 0 at boundary/exterior
     cells, whose values are prescribed by b. The outermost frame is always
-    boundary so the 5-point stencil never reads off-grid. b is zero at
-    interior cells; f may be nonzero anywhere but only its interior values
-    enter the equations. n is the mask's, also after dataclasses.replace.
+    boundary so the 5-point stencil never reads off-grid. b, zero at
+    interior cells, is one field of the mask's shape; f may be a stack, as
+    a V-cycle's restricted residuals are, and only its interior values
+    enter the equations. n and b's shape are the mask's, also after
+    dataclasses.replace.
 
     What the sweeps read besides the arrays is derived from them, once,
     since they are never written after the Problem is built. exterior
     (see Exterior) is left to __post_init__: dataclasses.replace passes
-    it on, and it is rebuilt only for another mask object, its b values
-    alone for another b. scaled_source and homogeneous are built on
-    their first use.
+    it on, and it is rebuilt only for another mask object; for another b
+    it is a new Exterior holding the mask's cells and coarse chain by
+    reference. scaled_source and homogeneous are built on their first use.
     """
 
     mask: np.ndarray
@@ -139,6 +136,8 @@ class Problem:
     exterior: Exterior | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.b.shape != self.mask.shape:
+            raise ValueError(f"shape mismatch: mask {self.mask.shape}, b {self.b.shape}")
         exterior = self.exterior
         if exterior is None or exterior.mask is not self.mask:
             exterior = Exterior(self.mask, self.b)

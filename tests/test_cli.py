@@ -32,7 +32,7 @@ class TestGenSolve:
                            "--solver", "jacobi", "--tol", "1e-2")
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header == "iterations,conv_layers,mul_adds,final_relative_error,converged"
+        assert header == "iterations,conv_layers,mul_adds,final_residual_ratio,converged"
         assert row.endswith(",1")
 
     def test_solve_non_convergence_exit_code(self, tmp_path, capsys):

@@ -319,6 +319,17 @@ class TestExterior:
                               jacobi_step(u, q).view(np.int64))
         assert np.array_equal(reset(u, moved), reset(u, q))
 
+    @pytest.mark.parametrize("change", ["stacked-b", "other-mask"])
+    def test_replace_refuses_a_b_not_of_the_masks_shape(self, change):
+        # b is one field of the mask's shape, after dataclasses.replace too
+        p = self._lshape()
+        if change == "stacked-b":
+            kwargs = {"b": np.zeros((2, 17, 17))}
+        else:
+            kwargs = {"mask": generate(GeometrySpec(kind="lshape", n=33, seed=0)).mask}
+        with pytest.raises(ValueError, match="shape mismatch"):
+            replace(p, **kwargs)
+
     def test_homogeneous_twin_shares_the_mask_data(self):
         p = self._lshape()
         z = p.homogeneous

@@ -5,13 +5,15 @@ AttributeError under --trace 1, a called one when its round gets there.
 These tests read perfbench's sources (loading tracing.py by path, parsing
 the rest) and never modify them. The last one runs perfbench's own
 self-test, so that a change that makes a benchmark check reject correct
-output fails here first.
+output fails here first; another holds run.py's metric tables to those
+BENCHMARK.json declares.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +106,18 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_metric_tables_match_benchmark_json():
+    # run.py pins BLAS env vars when imported, so a child process reads its
+    # tables; -B keeps it from writing bytecode
+    script = ("import json, run; print(json.dumps("
+              "[list(run.END_TO_END.items()), list(run.PER_LAYER.items()), list(run.WORKLOADS)]))")
+    done = subprocess.run([sys.executable, "-B", "-c", script], cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    end_to_end, per_layer, workloads = json.loads(done.stdout.splitlines()[-1])
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert end_to_end == [[m["name"], m["unit"]] for m in declared["end_to_end"]]
+    assert per_layer == [[m["name"], m["unit"]] for m in declared["per_layer"]]
+    assert workloads == [w["name"] for w in declared["workloads"]]
