@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--problem", required=True)
     solve.add_argument("--solver", required=True, help=SOLVER_HELP)
     solve.add_argument("--model", default=None)
-    solve.add_argument("--tol", type=float, default=0.01)
-    solve.add_argument("--max-steps", type=int, default=200000)
+    solve.add_argument("--tol", type=float, default=bench_mod.DEFAULT_THRESHOLD)
+    solve.add_argument("--max-steps", type=int, default=bench_mod.MAX_STEPS)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", default=None, help="optional solution field file")
     solve.set_defaults(func=cmd_solve)
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="cost-ratio benchmark vs the baseline")
     be.add_argument("--model", default=None)
     be.add_argument("--suite", default="all", choices=("all",) + KINDS)
-    be.add_argument("--tol", type=float, default=0.01)
+    be.add_argument("--tol", type=float, default=bench_mod.DEFAULT_THRESHOLD)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--report", default=None)
     be.set_defaults(func=cmd_bench)

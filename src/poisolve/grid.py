@@ -16,26 +16,27 @@ whose fixed point must satisfy the residual definition below.
 All 5-point arithmetic runs in two kernels: :func:`_stencil`, the one
 sweep, plain or damped (which the iterators' steps and so the training
 adjoint call), and :func:`residual`, the one f - A u. Both start from
-:func:`_neighbour_sum`, which views a field, or a stack of fields,
-as one flat run of cells in row order, so the four neighbours of each
-cell in rows 1..n-2 of its field are contiguous slices at offsets -n, +n,
--1, +1, summed N + S, + W, + E into the output buffer with no padded
-copy; each kernel finishes its update on that run in place, with no
-callback. Columns 0 and n-1 then hold wrapped values and rows 0 and n-1
-values read across fields or none; all of them are exterior cells
-(mask != 1), because the outermost frame is always boundary (mask = 0),
-which make_problem enforces and dataclasses.replace keeps. Every exterior
-cell is then written by its flat index: with b by :func:`set_boundary`,
-the one boundary writer, which every step ends with (so no correction
-added before it is masked, and no f at an exterior cell is read) and
-which masks training's errors and adjoints on their b = 0 problem; with
-0 by residual (laplacian_apply is residual on the f = 0 problem framed
-by the outermost cells). Every Exterior of a mask holds the mask's cells
-and coarse chain, built once, by reference; dataclasses.replace passes it
+:func:`_neighbour_sum`, which views a field, or a stack of fields, as one
+flat run of cells in row order, so the four neighbours of each cell in
+rows 1..n-2 of its field are contiguous slices at offsets -n, +n, -1, +1,
+summed N + S, + W, + E into the output buffer with no padded copy. Each
+kernel finishes its update on that run in place: a sweep adds h^2 f
+(Problem.scaled_source) and scales once, by 1/4, or omega/4 if damped.
+Columns 0 and n-1 then hold wrapped values and rows 0 and n-1 values
+read across fields or none; all are exterior cells (mask != 1), since
+the outermost frame is always boundary (mask = 0), which make_problem
+enforces and dataclasses.replace keeps. Every exterior cell is then
+written by its flat index: with b by :func:`set_boundary`, the one
+boundary writer, which every step ends with (so no correction added
+before it is masked, and no f at an exterior cell is read) and which
+masks training's errors and adjoints on their b = 0 problem; with 0 by
+residual (laplacian_apply is residual on the f = 0 problem framed by the
+outermost cells). Every Exterior of a mask holds the mask's cells and
+coarse chain, built once, by reference; dataclasses.replace passes it
 on while the mask is the same object, so no step compares the mask.
-Interior cells see the same operations in the same order as the
-zero-padded slice formulas, so results match those bit for bit (the
-tests hold them as references).
+Results match the zero-padded slice formulas, (N + S + W + E)/4 +
+(h^2/4) f, bit for bit (the tests hold them as references): a power of
+two scale is exact short of underflow, so it commutes with rounding.
 """
 
 from __future__ import annotations
@@ -121,12 +122,12 @@ class Problem:
     enter the equations. n and b's shape are the mask's, also after
     dataclasses.replace.
 
-    What the sweeps read besides the arrays is derived from them, once,
-    since they are never written after the Problem is built. exterior
-    (see Exterior) is left to __post_init__: dataclasses.replace passes
-    it on, and it is rebuilt only for another mask object; for another b
-    it is a new Exterior holding the mask's cells and coarse chain by
-    reference. scaled_source and homogeneous are built on their first use.
+    What the sweeps read besides the arrays is derived from them once, as
+    they are never written. exterior (see Exterior) is set in
+    __post_init__: dataclasses.replace passes it on, rebuilt only for
+    another mask object, or for another b as a new Exterior holding the
+    mask's cells and coarse chain by reference. scaled_source and
+    homogeneous are built on their first use.
     """
 
     mask: np.ndarray
@@ -151,11 +152,11 @@ class Problem:
 
     @cached_property
     def scaled_source(self) -> np.ndarray | None:
-        """(h^2/4) f over rows 1..n-2, the term a sweep adds; None if f has
-        no nonzero cell, since adding (h^2/4) * 0 would change no value."""
+        """h^2 f over rows 1..n-2, which a sweep adds before it scales; None
+        if f has no nonzero cell, since adding h^2 * 0 would change no value."""
         if not self.f.any():
             return None
-        return 0.25 * self.h * self.h * self.f[..., 1:-1, :]
+        return self.h * self.h * self.f[..., 1:-1, :]
 
     @cached_property
     def homogeneous(self) -> Problem:
@@ -241,18 +242,17 @@ def _neighbour_sum(u: Field, n: int) -> tuple[Field, Field, Field]:
 def _stencil(u: Field, p: Problem, omega: float | None) -> Field:
     """One sweep of a field or stack of fields u on p, with reset.
 
-    The plain Jacobi update (N + S + W + E)/4 + (h^2/4) f if omega is
-    None, else that update damped by omega, (1 - omega) u + omega (...),
-    run in place on the neighbour sum; then every exterior cell, which
-    includes each cell outside that run, takes its value of b.
+    The plain Jacobi update (N + S + W + E + h^2 f)/4 if omega is None,
+    else that update damped by omega, (1 - omega) u + omega (...), run in
+    place on the neighbour sum with one scale, 1/4 or omega/4; then every
+    exterior cell, which includes each cell outside that run, takes b.
     """
     out, s, own = _neighbour_sum(u, p.n)
-    s *= 0.25
     source = p.scaled_source
     if source is not None:
         out[..., 1:-1, :] += source
+    s *= 0.25 if omega is None else 0.25 * omega
     if omega is not None:
-        s *= omega
         s += (1.0 - omega) * own
     return set_boundary(out, p)
 

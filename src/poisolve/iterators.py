@@ -13,17 +13,18 @@ sweeps alone. The standalone Jacobi iterator stays undamped.
 
 Both sweeps, plain and damped, for a field or a stack, are one kernel,
 :func:`poisolve.grid._stencil`, and every f - A u here is
-:func:`poisolve.grid.residual`. A sweep adds Problem.scaled_source,
-(h^2/4) f multiplied once per problem, and writes b at the exterior
-cells by the indices the problem keeps (Problem.exterior), so no step
-multiplies the source or compares the mask. When f has no nonzero cell
-(a homogeneous problem, as every training and certification step runs
-on) scaled_source is None and the sweeps skip the source, which changes
-no value: only an exact zero may come out as -0.0 where the padded
-formula gives +0.0. The V-cycle writes b over its
-prolonged correction with :func:`poisolve.grid.set_boundary` and leaves
-its restricted residual unmasked (no f at an exterior cell is read), on
-the mask's coarse chain of levels (grid.Exterior.coarse).
+:func:`poisolve.grid.residual`. A sweep adds Problem.scaled_source
+(h^2 f, multiplied once per problem), scales once, by 1/4 or omega/4,
+and writes b at the exterior cells by Problem.exterior's indices, so no
+step multiplies the source or compares the mask. When f has no nonzero
+cell (a homogeneous problem, as every training and certification step
+runs on) scaled_source is None and the sweeps skip the source, which
+changes no value: only an exact zero may come out as -0.0 where the
+padded formula gives +0.0. The V-cycle adds its prolonged correction in
+place into its pre-smoothed iterate, then writes b with
+:func:`poisolve.grid.set_boundary`; its restricted residual stays
+unmasked (no f at an exterior cell is read), on the mask's coarse chain
+(grid.Exterior.coarse).
 
 ground_truth, the reference every error is measured against, runs CG on
 A with restarts from the true residual (van der Vorst and Ye 2000). Its
@@ -92,10 +93,10 @@ class Iterator:
     """Affine single-step solver: step(u, p) = T u + c with exact boundary.
 
     step takes a field of shape (n, n) or a stack of shape (..., n, n) and
-    returns the same shape. Every slice of a stack is stepped on its own,
-    with the same floating-point operations in the same order as a
-    single-field call, so the stacked result equals the per-field results
-    bit for bit.
+    returns a new array of the same shape; it never writes u. Every slice
+    of a stack is stepped on its own, with the same floating-point
+    operations in the same order as a single-field call, so the stacked
+    result equals the per-field results bit for bit.
     """
 
     name = "iterator"
@@ -111,7 +112,7 @@ class Iterator:
 def jacobi_step(u: Field, p: Problem) -> Field:
     """One Jacobi sweep followed by a boundary reset.
 
-    u_hat = (u_N + u_S + u_W + u_E)/4 + (h^2/4) f at interior cells;
+    u_hat = (u_N + u_S + u_W + u_E + h^2 f)/4 at interior cells;
     boundary cells take the prescribed values b.
     """
     return _stencil(u, p, None)
@@ -214,7 +215,8 @@ class MultigridIterator(Iterator):
             # which make_problem would reject
             pc = Problem(mask=level.mask, b=level.b, f=fc, h=2.0 * p.h, exterior=level)
             ec = self._cycle(np.zeros(fc.shape), pc, coarse[1:])
-            u = set_boundary(u + prolong_bilinear(ec, p.n), p)
+            u += prolong_bilinear(ec, p.n)  # u is a sweep's own array (PRE_SMOOTH >= 1)
+            set_boundary(u, p)
         for _ in range(POST_SMOOTH):
             u = damped_jacobi_step(u, p, SMOOTH_OMEGA)
         return u

@@ -13,8 +13,8 @@ The architecture name alone fixes the shape: _layer_plan lists every
 layer's stride and kind, and a model holds only its kernels, one per entry.
 
 The wrapped iterator applies the base solver, feeds its update through the
-correction net, adds the correction on and writes b back over the exterior
-cells (grid.set_boundary), so the correction reaches interior cells only.
+correction net, adds the correction into the base step's array in place
+and writes b back (grid.set_boundary), so it reaches interior cells only.
 Any fixed point of the base is therefore a fixed point of the wrapped
 iterator regardless of the weights, exactly so in exact arithmetic. In
 float64 the base step leaves a rounding residue d at its fixed point, and
@@ -199,9 +199,10 @@ class PhiIterator(Iterator):
         self.name = f"{model.arch}{model.depth}"
 
     def step(self, u, p, tape: list | None = None):
-        """One wrapped step; a tape, if given, records the correction net's pass."""
-        psi = self.base.step(u, p)
-        return set_boundary(psi + apply_H(self.model, psi - u, tape), p)
+        """One wrapped step, corrected in place; a tape, if given, records the net's pass."""
+        psi = self.base.step(u, p)  # a new array (see Iterator), so added to in place
+        psi += apply_H(self.model, psi - u, tape)
+        return set_boundary(psi, p)
 
     def step_cost(self, p):
         bl, bo = self.base.step_cost(p)

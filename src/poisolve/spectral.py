@@ -133,14 +133,10 @@ def spectral_radius(lp: LinearPart, mode: str = "dense") -> float:
             v, norms, running = v[~stopped], norms[~stopped], running[~stopped]
         log_growth[running, t + 1] = log_growth[running, t] + np.log(norms)
         v /= norms[:, None, None]
-    best = 0.0
-    for r in range(restarts):
-        done = steps_done[r]
-        if done < window:
-            est = 0.0
-        else:
-            est = float(np.exp((log_growth[r, done] - log_growth[r, done - window]) / window))
-        best = max(best, est)
+    best = 0.0  # a restart that stopped within its first window estimates 0
+    for done, growth in zip(steps_done, log_growth):
+        if done >= window:
+            best = max(best, float(np.exp((growth[done] - growth[done - window]) / window)))
     return best
 
 

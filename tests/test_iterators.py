@@ -703,3 +703,53 @@ class TestFlatStencil:
             assert _same_bits(out, ref)
             # no f at an exterior cell is read, on any level
             assert _same_bits(out, mg.step(u, _interior_source(p)))
+
+
+# ------------------------------------------------------------------
+# A step returns an array of its own and never writes its input: the
+# V-cycle adds its correction into its pre-smoothed iterate in place,
+# and the wrapped iterator its correction into the base step's output.
+# ------------------------------------------------------------------
+
+STEPPERS = {
+    "jacobi": lambda: JacobiIterator(),
+    "mg1": lambda: MultigridIterator(1),
+    "mg2": lambda: MultigridIterator(2),
+    "mg3": lambda: MultigridIterator(3),
+    "conv3": lambda: PhiIterator(JacobiIterator(), load_model(MODELS / "conv3.model")),
+    "unet2": lambda: PhiIterator(JacobiIterator(), load_model(MODELS / "unet2.model")),
+    "unet2-over-mg2": lambda: PhiIterator(MultigridIterator(2),
+                                          load_model(MODELS / "unet2.model")),
+}
+
+
+class TestStepKeepsItsInput:
+    @pytest.mark.parametrize("solver", STEPPERS)
+    @pytest.mark.parametrize("n", [17, 65])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_step_never_writes_its_input(self, solver, n, lead):
+        it = STEPPERS[solver]()
+        rng = np.random.default_rng(11)
+        for p in _stencil_problems(n):
+            u = rng.standard_normal(lead + (n, n))
+            kept = u.copy()
+            out = it.step(u, p)
+            assert _same_bits(u, kept)
+            assert not np.shares_memory(out, u)
+            # a second step from the same input gives the same bits
+            assert _same_bits(it.step(u, p), out)
+
+    def test_ground_truth_preconditioner_keeps_its_zero_field(self, monkeypatch):
+        # every preconditioner call starts one V-cycle from one shared zero field
+        starts = []
+        step = MultigridIterator.step
+
+        def recording(self, u, p):
+            starts.append(u)
+            return step(self, u, p)
+
+        monkeypatch.setattr(MultigridIterator, "step", recording)
+        p = generate(GeometrySpec(kind="lshape", n=VCYCLE_PRECONDITIONER_MIN_N, seed=0))
+        ground_truth(p)
+        assert len(starts) > 1 and all(u is starts[0] for u in starts)
+        assert _same_bits(starts[0], np.zeros((p.n, p.n)))
