@@ -155,7 +155,7 @@ def backward(model: CorrectionModel, tape: list, g: np.ndarray,
             grad[0, 0] += conv2d_weight_grad(x, g, stride)
             g = conv2d_input_grad(g, w, stride, x.shape[1:])
             if stride == 2:
-                g = g + pending.pop()
+                g += pending.pop()  # g is conv2d_input_grad's fresh output
     return g
 
 

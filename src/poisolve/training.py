@@ -5,21 +5,22 @@ wrapped-iterator steps, with k drawn per sample from {1, ..., k_max} and
 the start field drawn white-Gaussian then reset to the boundary values.
 The wrapped iterator keeps the base solver's fixed point for any weights,
 so Phi(u) - u* = T_H (u - u*) exactly, where the linear part T_H depends
-on the mask alone. A training step therefore carries only what that error
-recursion reads: a :class:`Batch` holds the one geometry, homogeneous
-(b = 0, f = 0), the start errors e0 = mask (u0 - u*) as a (B, n, n) stack,
-and each sample's k. The unroll runs the wrapped iterator's own step
-(:meth:`poisolve.model.PhiIterator.step`) on that geometry, and the loss
-sums the squared final errors; T_H is the operator that
-:func:`poisolve.spectral.certify` measures. The unroll retires each sample
-at its own k: step t advances only the samples still short of their k.
-Gradients are computed by an explicit reverse pass over the unrolled
-steps, which takes each sample in at its own k: the sweep's linear part
-is self-adjoint on interior cells, so its adjoint is the sweep itself
-(:func:`poisolve.iterators.jacobi_step` on the homogeneous problem) of
-the adjoint masked by :func:`poisolve.grid.set_boundary`, which writes
-b = 0 there and so is its own adjoint, and the adjoint of the correction
-net is the walk over the layer-input tape in :mod:`poisolve.model`.
+on the mask alone. A :class:`Batch` therefore holds only what that error
+recursion reads, on the geometry's homogeneous twin. The unroll runs the
+wrapped iterator's own step (:meth:`poisolve.model.PhiIterator.step`) on
+it, and the loss sums the squared final errors; T_H is the operator that
+:func:`poisolve.spectral.certify` measures. Step t advances only the
+samples still short of their k. :func:`loss` and :func:`loss_and_grad`
+share one taped unroll, which keeps one record per step: the errors
+retiring there and the step's tape. The reverse pass pops the records
+from the last step back, releasing each once its adjoint step has run,
+takes each sample in at its own k and finishes each adjoint in its own
+buffer. The sweep's linear part is self-adjoint on interior cells, so
+its adjoint is the sweep itself (:func:`poisolve.iterators.jacobi_step`
+on the homogeneous problem) of the adjoint masked by
+:func:`poisolve.grid.set_boundary`, which writes b = 0 there and so is its
+own adjoint; the adjoint of the correction net is the walk over the
+layer-input tape in :mod:`poisolve.model`.
 
 The base solver is fixed to Jacobi here; the wrapped iterator remains
 usable with any base at inference time.
@@ -159,15 +160,15 @@ def sample_batch(cfg: TrainConfig, cache: SquareSolutionCache,
 # Batched unrolled forward/backward on the error. Shapes are (B, n, n).
 # ------------------------------------------------------------------
 
-def _unrolled(model: CorrectionModel, batch: Batch, record: bool):
-    """Run every sample's error to its own k and no further.
+def _unrolled(model: CorrectionModel, batch: Batch):
+    """Run every sample's error to its own k and no further, taping each step.
 
     The samples are stable-sorted by k, largest first, so those still
     short of their k at step t are the leading live[t] rows, and those that
-    retire at t keep their order in the batch. Returns the loss and, if
-    record, what the reverse pass needs: live, the final errors of the
-    samples retiring at each step, and the tapes. Raises TrainingError at
-    the first step whose iterate or accumulated loss is not finite.
+    retire at t keep their order in the batch. Returns the loss and one
+    (final, tape) record per step: the copied final errors of the samples
+    retiring there (possibly none) and the step's tape. Raises
+    TrainingError at the first step whose iterate or loss is not finite.
     """
     if not batch.ks:
         raise ValueError("empty batch")
@@ -178,11 +179,11 @@ def _unrolled(model: CorrectionModel, batch: Batch, record: bool):
     phi = PhiIterator(JacobiIterator(), model)
     e = batch.e0[order]
     loss = 0.0
-    retired, tapes = [], []
+    records = []
     # a divergent model overflows; the finiteness checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, ks[0] + 1):
-            tape: list | None = [] if record else None
+            tape = []
             e = phi.step(e[:live[t]], p, tape)
             if not np.isfinite(e).all():
                 raise TrainingError(f"non-finite iterate at unroll step {t}")
@@ -190,36 +191,35 @@ def _unrolled(model: CorrectionModel, batch: Batch, record: bool):
             loss += float((final * final).sum())
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss ({loss}) at unroll step {t}")
-            retired.append(final)
-            tapes.append(tape)
-    loss /= len(ks)
-    return loss, (live, retired, tapes)
+            records.append((final, tape))
+    return loss / len(ks), records
 
 
 def loss(model: CorrectionModel, batch: Batch) -> float:
     """Mean over the batch of ||Phi^k(u0) - u*||_2^2."""
-    return _unrolled(model, batch, record=False)[0]
+    return _unrolled(model, batch)[0]
 
 
 def loss_and_grad(model: CorrectionModel, batch: Batch):
     """The batch loss and its exact gradient w.r.t. every kernel weight."""
-    value, (live, retired, tapes) = _unrolled(model, batch, record=True)
+    value, records = _unrolled(model, batch)
     p = batch.geometry
     grads = [np.zeros_like(layer.weights) for layer in model.layers]
     scale = 2.0 / len(batch.ks)
-    g = scale * retired[-1]
+    g = np.empty((0, p.n, p.n))
     # as in the forward pass, overflow is reported by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(tapes), 0, -1):
-            if live[t] > len(g):  # samples whose k = t enter the adjoint here
-                g = np.concatenate([g, scale * retired[t - 1]])
-            # g is this pass's own array, masked in place
-            gw = backward(model, tapes[t - 1], set_boundary(g, p), grads)
-            # the sweep's linear part u -> M (N+S+W+E)/4 has the adjoint
-            # g -> (N+S+W+E)/4 of M g; a sweep of M g is that, op for op, at
-            # interior cells and 0 elsewhere, where g is never read: backward
-            # gets M g, and the next step masks g + gw again
-            g = jacobi_step(set_boundary(g + gw, p), p) - gw
+        for t in range(len(records), 0, -1):
+            final, tape = records.pop()  # released once this step has run
+            if len(final):  # samples whose k = t enter the adjoint here
+                g = np.concatenate([g, scale * final])
+            # g is this pass's own array, masked and finished in place
+            gw = backward(model, tape, set_boundary(g, p), grads)
+            # the sweep's linear part u -> M (N+S+W+E)/4 has the adjoint g -> (N+S+W+E)/4
+            # of M g; a sweep of M g is that, op for op, at interior cells and 0 elsewhere,
+            # where g is never read: backward gets M g, and the next step masks g + gw again
+            g = jacobi_step(set_boundary(np.add(g, gw, out=g), p), p)
+            g -= gw
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite adjoint at unroll step {t}")
     if not all(np.isfinite(gr).all() for gr in grads):

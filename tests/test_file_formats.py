@@ -7,6 +7,7 @@ every token read with float(). Arrays are compared as int64 views, so
 -0.0 and the bits of a NaN count.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,8 @@ def special_field(n=9, seed=0, finite=False):
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
 
 
 class TestWrittenBytes:
@@ -491,6 +493,76 @@ class TestContentErrors:
         code = main(["solve", "--problem", str(tmp_path / "p.txt"), "--solver", "jacobi"])
         assert code == EXIT_INVALID
         assert "line 2: problem has no interior cells" in capsys.readouterr().err
+
+
+class TestStructuralErrors:
+    """Headers, separators and the h line: each fault is reported on line 1
+    or on the line where the missing or malformed text should stand."""
+
+    N = 5  # the problem files are square_problem(N) as saved, 3 N + 4 lines
+
+    @pytest.mark.parametrize("lines, message", [
+        ([], "empty field file"),
+        (["3", "0 0 0", "0 0 0", "0 0 0"], "field header must be 'n n'"),
+        (["3 3 3", "0 0 0", "0 0 0", "0 0 0"], "field header must be 'n n'"),
+        (["3 x", "0 0 0", "0 0 0", "0 0 0"], "field header must be two integers"),
+        (["3 4", "0 0 0 0", "0 0 0 0", "0 0 0 0"], "bad field dimensions 3 x 4"),
+    ], ids=["empty", "one-token", "three-tokens", "not-integer", "not-square"])
+    def test_field_header(self, tmp_path, lines, message):
+        path = write_lines(tmp_path / "u.txt", lines)
+        with pytest.raises(FileFormatError, match=f"^line 1: {re.escape(message)}$") as err:
+            load_field(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines, n: [], 1, "empty problem file"),
+        (lambda lines, n: ["2"] + lines[1:], 1, "grid size 2 too small"),
+        (lambda lines, n: lines[:n + 1] + lines[n + 2:], N + 2, "expected blank separator line"),
+        (lambda lines, n: lines[:-1], 3 * N + 4, "missing trailing 'h <decimal>' line"),
+        (lambda lines, n: lines[:-1] + ["h"], 3 * N + 4, "final line must be 'h <decimal>'"),
+        (lambda lines, n: lines[:-1] + ["w 0.25"], 3 * N + 4,
+         "final line must be 'h <decimal>'"),
+        (lambda lines, n: lines[:-1] + ["h 0.25 0.5"], 3 * N + 4,
+         "final line must be 'h <decimal>'"),
+        (lambda lines, n: lines[:-1] + ["h quarter"], 3 * N + 4, "bad mesh width value"),
+    ], ids=["empty", "n-below-3", "no-blank-after-mask", "no-h-line", "h-alone",
+            "not-h", "h-two-values", "h-unparsable"])
+    def test_problem_structure(self, tmp_path, edit, line, message):
+        save_problem(square_problem(self.N), tmp_path / "p.txt")
+        lines = edit((tmp_path / "p.txt").read_text().splitlines(), self.N)
+        path = write_lines(tmp_path / "p.txt", lines)
+        with pytest.raises(FileFormatError, match=f"^line {line}: {re.escape(message)}$") as err:
+            load_problem(path)
+        assert err.value.line == line
+
+    def test_model_blank_lines_between_layers_load(self, tmp_path):
+        for source in MODELS:
+            lines = source.read_text().splitlines()
+            spaced = [lines[0], ""]
+            for i in range(1, len(lines), 2):
+                spaced += [lines[i], lines[i + 1], " \t" if i % 4 == 1 else ""]
+            got = load_model(write_lines(tmp_path / "m.model", spaced))
+            expected = load_model(source)
+            assert len(got.layers) == len(expected.layers), source.stem
+            for a, b in zip(got.layers, expected.layers):
+                assert np.array_equal(bits(a.weights), bits(b.weights)), source.stem
+
+    @pytest.mark.parametrize("what", ["problem", "model"])
+    def test_cli_names_the_line(self, tmp_path, capsys, what):
+        save_problem(square_problem(17), tmp_path / "p.txt")
+        lines = (tmp_path / "p.txt").read_text().splitlines()
+        args = ["solve", "--problem", str(tmp_path / "p.txt"), "--solver", "conv3",
+                "--model", str(MODELS_DIR / "conv3.model")]
+        if what == "problem":
+            write_lines(tmp_path / "p.txt", lines[:-1])
+            expected = f"error: line {3 * 17 + 4}: missing trailing 'h <decimal>' line\n"
+        else:
+            model = (MODELS_DIR / "conv3.model").read_text().splitlines()
+            write_lines(tmp_path / "m.model", ["arch resnet depth 3 channels 1"] + model[1:])
+            args[-1] = str(tmp_path / "m.model")
+            expected = "error: line 1: unknown architecture 'resnet'\n"
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err == expected
 
 
 class TestTrailingContent:

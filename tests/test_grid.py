@@ -119,6 +119,10 @@ class TestResidualNorms:
         p = make_problem(mask, np.zeros((n, n)), np.zeros((n, n)))
         assert residual_norms(p, np.zeros((n, n))) == (0.0, 0.0)
 
+    def test_shape_mismatch_rejected(self, p17):
+        with pytest.raises(ValueError, match=r"field shape \(5, 5\) does not match problem n=17"):
+            residual_norms(p17, np.zeros((5, 5)))
+
     def test_ground_truth_passes(self, p17_poisson):
         u = ground_truth(p17_poisson)
         interior, boundary = residual_norms(p17_poisson, u)
@@ -242,6 +246,18 @@ class TestProblemInvariants:
         else:
             with pytest.raises(FileFormatError, match="^line 5: mask cells must be 0 or 1$"):
                 load_problem(tmp_path / "p.txt")
+
+    @pytest.mark.parametrize("mask_shape, b_shape, f_shape, match", [
+        ((5, 4), (5, 4), (5, 4), r"mask must be square 2D, got shape \(5, 4\)"),
+        ((25,), (25,), (25,), r"mask must be square 2D, got shape \(25,\)"),
+        ((2, 2), (2, 2), (2, 2), "grid size must be at least 3, got 2"),
+        ((5, 5), (4, 4), (5, 5), r"shape mismatch: mask \(5, 5\), b \(4, 4\), f \(5, 5\)"),
+        ((5, 5), (5, 5), (5, 6), r"shape mismatch: mask \(5, 5\), b \(5, 5\), f \(5, 6\)"),
+    ], ids=["non-square", "1d", "n-below-3", "b-shape", "f-shape"])
+    def test_shapes_refused(self, mask_shape, b_shape, f_shape, match):
+        mask = np.zeros(mask_shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            make_problem(mask, np.zeros(b_shape), np.zeros(f_shape))
 
     def test_needs_interior(self):
         mask = np.zeros((5, 5), dtype=np.uint8)

@@ -220,6 +220,9 @@ class TestInitAndFiles:
             load_model(path)
 
     @pytest.mark.parametrize("text, line, match", [
+        ("", 1, "empty model file"),
+        ("arch conv depth 1\n" + _LAYER + _ROW, 1, "bad model header: 'arch conv depth 1'"),
+        ("arch resnet depth 1 channels 1\n" + _LAYER + _ROW, 1, "unknown architecture 'resnet'"),
         ("arch conv depth x channels 1\n" + _LAYER + _ROW, 1, "integers"),
         ("arch conv depth 0 channels 1\n" + _LAYER + _ROW, 1, "positive"),
         (_HEAD + "layer 0 in 1 out one stride 1 transposed 0\n" + _ROW, 2, "integers"),
@@ -232,8 +235,9 @@ class TestInitAndFiles:
         (_HEAD + _LAYER, 3, "missing kernel row"),
         (_HEAD + _LAYER + _ROW + "layer 1 in 1 out 1\n", 4, "layer header"),
         (_HEAD + _LAYER + _ROW + _LAYER + _ROW, 4, "layer index 0, expected 1"),
-    ], ids=["header-int", "header-depth", "layer-int", "layer-channels", "stride",
-            "transposed", "kernel-value", "kernel-nan", "kernel-inf", "kernel-row", "layer-header", "layer-index"])
+    ], ids=["empty", "header", "header-arch", "header-int", "header-depth", "layer-int",
+            "layer-channels", "stride", "transposed", "kernel-value", "kernel-nan", "kernel-inf",
+            "kernel-row", "layer-header", "layer-index"])
     def test_load_error_names_its_line(self, tmp_path, text, line, match):
         path = tmp_path / "bad.model"
         path.write_text(text)

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poisolve import spectral
 from poisolve.grid import make_problem, reset
 from poisolve.geometry import GeometrySpec, generate, random_geometry
 from poisolve.iterators import (
@@ -12,7 +14,7 @@ from poisolve.iterators import (
     jacobi_step,
     solve_to_tol,
 )
-from poisolve.model import PhiIterator, apply_H, init_model
+from poisolve.model import PhiIterator, apply_H, init_model, load_model
 from poisolve.spectral import (
     FIXED_POINT_TOL,
     LinearPart,
@@ -33,6 +35,8 @@ from paper_constructs import (
     scale_model,
     wrapped_linear_matrix,
 )
+
+MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 
 
 class _ZeroIterator:
@@ -116,6 +120,16 @@ class TestLinearPart:
         with pytest.raises(ValueError, match="power"):
             materialize_dense(lp)
 
+    def test_affine_iterator_refused(self, p17):
+        class _Shift:
+            name = "shift"
+
+            def step(self, u, p):
+                return u + 1.0
+
+        with pytest.raises(ValueError, match="iterator shift is not linear"):
+            linear_part(_Shift(), p17)
+
 
 class TestSpectralRadius:
     def test_jacobi_square_closed_form(self, p17):
@@ -133,6 +147,11 @@ class TestSpectralRadius:
         assert spectral_radius(lp, mode="dense") == 0.0
         assert spectral_radius(lp, mode="power") == 0.0
         assert spectral_radius(lp, mode="arnoldi") == 0.0
+
+    def test_unknown_mode_refused(self, p17):
+        lp = linear_part(JacobiIterator(), p17)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            spectral_radius(lp, mode="bogus")
 
     def test_power_matches_dense(self, p17):
         lp = linear_part(JacobiIterator(), p17)
@@ -178,13 +197,19 @@ class TestArnoldi:
             assert abs(spectral_radius(lp, mode="arnoldi") - dense) <= 1e-5 * dense, it.name
 
     @pytest.mark.parametrize("key", [40, 41])
-    def test_matches_dense_at_33(self, key):
+    def test_matches_dense_at_33(self, key, monkeypatch):
+        """Jacobi, x3 init unet2 and the shipped models, each from two start fields."""
         p = _mask_problem(key, 33)
         scaled = scale_model(init_model("unet2", seed=0), 3.0)
-        for it in (JacobiIterator(), PhiIterator(JacobiIterator(), scaled)):
+        shipped = [load_model(MODELS / f"{arch}.model") for arch in ("conv3", "unet2")]
+        for it in [JacobiIterator()] + [PhiIterator(JacobiIterator(), m)
+                                        for m in [scaled] + shipped]:
             lp = linear_part(it, p)
             dense = spectral_radius(lp, mode="dense")
-            assert abs(spectral_radius(lp, mode="arnoldi") - dense) <= 1e-5 * dense, it.name
+            for seed in (0, 1):
+                monkeypatch.setattr(spectral, "ARNOLDI_SEED", seed)
+                gap = abs(spectral_radius(lp, mode="arnoldi") - dense)
+                assert gap <= 1e-5 * dense, (it.name, seed)
 
     def test_interior_smaller_than_basis(self):
         """30 interior cells: the basis spans T's invariant interior space

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poisolve import training
+from poisolve.cli import EXIT_NO_CONVERGENCE, main
 from poisolve.geometry import random_geometry
 from poisolve.grid import reset, residual_norms
 from poisolve.iterators import jacobi_step
@@ -387,6 +388,28 @@ class TestTrainLoop:
         cfg = default_config("conv3", steps=400, lr=30.0, seed=0)
         with pytest.raises(TrainingError):
             train(cfg)
+
+    def test_unroll_error_names_its_training_step(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def fails_at_step_2(model, batch):
+            calls.append(batch)
+            if len(calls) == 2:
+                raise TrainingError("non-finite adjoint at unroll step 4")
+            return loss_and_grad(model, batch)
+
+        monkeypatch.setattr(training, "loss_and_grad", fails_at_step_2)
+        with pytest.raises(TrainingError,
+                           match="^step 2: non-finite adjoint at unroll step 4$") as err:
+            train(default_config("conv3", steps=5))
+        assert err.value.step == 2
+        assert str(err.value.__cause__) == "non-finite adjoint at unroll step 4"
+        calls.clear()
+        out = tmp_path / "m.model"
+        code = main(["train", "--arch", "conv3", "--steps", "5", "--out", str(out)])
+        assert code == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == "error: step 2: non-finite adjoint at unroll step 4\n"
+        assert not out.exists()
 
     def test_grid_checked_before_references(self, monkeypatch):
         def no_reference(p):

@@ -19,7 +19,9 @@ or the repr of a report, whose floats print every digit). It covers:
     residual; mg2 and wrapped unet2 at n = 257 on square and
     square_poisson, stopping on the error;
   * bench.certify_for_bench's verdicts for both shipped models;
-  * training.loss_and_grad on one sample_batch per architecture.
+  * training.loss_and_grad and training.loss on one sample_batch per
+    architecture, and the kernels and the log's losses and rho after
+    3 training.train steps from each architecture's default_config.
 
 It takes about ten seconds on one core. BLAS is held to one thread, so that
 the reductions it runs sum in the same order on every machine.
@@ -52,8 +54,10 @@ from poisolve.model import PhiIterator, load_model  # noqa: E402
 from poisolve.training import (  # noqa: E402
     SquareSolutionCache,
     default_config,
+    loss,
     loss_and_grad,
     sample_batch,
+    train,
 )
 
 MODELS = ROOT / "perfbench" / "models"
@@ -140,6 +144,10 @@ def main() -> None:
         batch = sample_batch(cfg, SquareSolutionCache(cfg.n), np.random.default_rng(0))
         value, grads = loss_and_grad(model, batch)
         emit(f"loss_and_grad/{arch}", value, *grads)
+        emit(f"loss/{arch}", loss(model, batch))
+        trained, log = train(default_config(arch, steps=3))
+        emit(f"train/{arch}", *(layer.weights for layer in trained.layers),
+             [(row.step, row.loss, row.rho_estimate) for row in log])
 
 
 if __name__ == "__main__":
